@@ -15,11 +15,12 @@ from typing import Dict, List, Optional
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
+from repro.catalog.statistics import TableStatistics
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.hooks import OptimizerHooks
 from repro.optimizer.plan import AccessPath
 from repro.optimizer.selectivity import SelectivityEstimator
-from repro.query.ast import Query
+from repro.query.ast import Predicate, Query
 
 
 class AccessPathCollector:
@@ -71,12 +72,13 @@ class AccessPathCollector:
         output_rows = max(1.0, stats.row_count * output_selectivity)
         referenced_columns = query.columns_of(table)
         join_columns = set(query.join_columns_of(table))
+        heap_pages = stats.heap_pages
 
         paths: List[AccessPath] = [
             AccessPath(
                 table=table,
                 method="seqscan",
-                cost=self._cost_model.seq_scan(stats.heap_pages, stats.row_count, len(filters)),
+                cost=self._cost_model.seq_scan(heap_pages, stats.row_count, len(filters)),
                 rows=output_rows,
                 provided_order=None,
                 covering=True,
@@ -87,8 +89,10 @@ class AccessPathCollector:
         for index in self._catalog.indexes_on(table):
             paths.append(
                 self._index_path(
-                    query=query,
                     table=table,
+                    stats=stats,
+                    filters=filters,
+                    heap_pages=heap_pages,
                     index=index,
                     output_rows=output_rows,
                     output_selectivity=output_selectivity,
@@ -100,16 +104,16 @@ class AccessPathCollector:
 
     def _index_path(
         self,
-        query: Query,
         table: str,
+        stats: TableStatistics,
+        filters: List[Predicate],
+        heap_pages: int,
         index: Index,
         output_rows: float,
         output_selectivity: float,
         referenced_columns: List[str],
         join_columns: set,
     ) -> AccessPath:
-        stats = self._catalog.statistics(table)
-        filters = query.filters_on(table)
         leading = index.leading_column
 
         # Predicates on the leading column bound the index range actually read.
@@ -129,7 +133,7 @@ class AccessPathCollector:
         index_pages = index.size_in_pages(stats)
         cost = self._cost_model.index_scan(
             leaf_pages=index_pages,
-            heap_pages=stats.heap_pages,
+            heap_pages=heap_pages,
             table_rows=stats.row_count,
             selectivity=leading_selectivity,
             correlation=column_stats.correlation,

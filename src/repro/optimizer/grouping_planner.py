@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import List
 
 from repro.optimizer.cost_model import CostModel
+from repro.optimizer.joinplanner import PlanningContext
 from repro.optimizer.plan import AggregateNode, PlanNode, SortNode
 from repro.optimizer.selectivity import SelectivityEstimator
-from repro.query.ast import ColumnRef, Query
+from repro.query.ast import ColumnRef
 from repro.util.errors import PlanningError
 
 
@@ -28,29 +29,30 @@ class GroupingPlanner:
 
     # -- public API --------------------------------------------------------------
 
-    def finalize(self, query: Query, plan: PlanNode) -> PlanNode:
+    def finalize(self, context: PlanningContext, plan: PlanNode) -> PlanNode:
         """Complete one join plan with aggregation and ORDER BY handling."""
         finalized = plan
-        if query.has_aggregation:
-            finalized = self._add_aggregation(query, finalized)
-        if query.order_by:
-            finalized = self._ensure_ordering(query, finalized)
+        if context.query.has_aggregation:
+            finalized = self._add_aggregation(context, finalized)
+        if context.query.order_by:
+            finalized = self._ensure_ordering(context, finalized)
         return finalized
 
-    def finalize_all(self, query: Query, plans: List[PlanNode]) -> List[PlanNode]:
+    def finalize_all(self, context: PlanningContext, plans: List[PlanNode]) -> List[PlanNode]:
         """Finalize a list of candidate plans (preserving order)."""
-        return [self.finalize(query, plan) for plan in plans]
+        return [self.finalize(context, plan) for plan in plans]
 
-    def choose_best(self, query: Query, plans: List[PlanNode]) -> PlanNode:
+    def choose_best(self, context: PlanningContext, plans: List[PlanNode]) -> PlanNode:
         """Finalize every candidate and return the cheapest result."""
         if not plans:
-            raise PlanningError(f"no candidate plans for query {query.name!r}")
-        finalized = self.finalize_all(query, plans)
+            raise PlanningError(f"no candidate plans for query {context.query.name!r}")
+        finalized = self.finalize_all(context, plans)
         return min(finalized, key=lambda p: p.total_cost)
 
     # -- aggregation ---------------------------------------------------------------
 
-    def _add_aggregation(self, query: Query, plan: PlanNode) -> PlanNode:
+    def _add_aggregation(self, context: PlanningContext, plan: PlanNode) -> PlanNode:
+        query = context.query
         groups = self._selectivity.group_count(query, plan.rows)
         group_columns = list(query.group_by)
         num_aggs = max(1, len(query.aggregates))
@@ -73,7 +75,7 @@ class GroupingPlanner:
         hashed_cost = self._cost_model.aggregate_hashed(
             plan.total_cost, plan.rows, groups, len(group_columns), num_aggs
         )
-        width = self._selectivity.output_row_width(query, plan.tables)
+        width = context.row_width(plan.tables)
         sort_cost = self._cost_model.sort(plan.total_cost, plan.rows, width)
         sorted_cost = self._cost_model.aggregate_sorted(
             sort_cost, plan.rows, groups, len(group_columns), num_aggs
@@ -85,11 +87,11 @@ class GroupingPlanner:
 
     # -- ordering -------------------------------------------------------------------
 
-    def _ensure_ordering(self, query: Query, plan: PlanNode) -> PlanNode:
-        order_columns = [item.column for item in query.order_by]
+    def _ensure_ordering(self, context: PlanningContext, plan: PlanNode) -> PlanNode:
+        order_columns = [item.column for item in context.query.order_by]
         if self._order_satisfied(plan, order_columns[0]):
             return plan
-        width = self._selectivity.output_row_width(query, plan.tables)
+        width = context.row_width(plan.tables)
         cost = self._cost_model.sort(plan.total_cost, plan.rows, width)
         return SortNode(plan, tuple(order_columns), cost)
 

@@ -19,6 +19,7 @@ per IOC, PINUM harvests a plan per IOC from a single call.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.query.ast import Query
@@ -51,6 +52,9 @@ def interesting_orders_by_table(query: Query) -> Dict[str, List[str]]:
     return {table: interesting_orders_for(query, table) for table in query.tables}
 
 
+_TABLE = itemgetter(0)
+
+
 class InterestingOrderCombination:
     """An immutable mapping ``table -> interesting order column or None``."""
 
@@ -60,8 +64,24 @@ class InterestingOrderCombination:
         if not orders:
             raise PlanningError("an interesting-order combination needs at least one table")
         self._items: Tuple[Tuple[str, Optional[str]], ...] = tuple(
-            sorted(orders.items(), key=lambda item: item[0])
+            sorted(orders.items(), key=_TABLE)
         )
+
+    @classmethod
+    def union(
+        cls, parts: Sequence["InterestingOrderCombination"]
+    ) -> "InterestingOrderCombination":
+        """The combination of ``parts``, which must cover disjoint table sets.
+
+        This is how the join planner derives a join's combination from its
+        inputs' (each table is read by exactly one input), without the dict
+        round trip and conflict check of :meth:`merged_with`.
+        """
+        combination = cls.__new__(cls)
+        combination._items = tuple(
+            sorted([item for part in parts for item in part._items], key=_TABLE)
+        )
+        return combination
 
     # -- accessors -----------------------------------------------------------
 

@@ -18,12 +18,28 @@ The state key is what distinguishes stock behaviour from PINUM behaviour:
   level retains the best plan for every IOC.  The optional subsumption rule
   of Section V-D then removes IOCs that can never win: if plan A requires a
   subset of plan B's orders and is cheaper, B is dropped.
+
+Every optimizer call plans through one :class:`PlanningContext`.  It holds
+what the DP would otherwise re-derive from the query thousands of times --
+each table's row width and filter columns, the interesting orders and the
+cardinality of each joined table set -- so each fact is computed once per
+call.  The context must never outlive its call: what-if overlays change the
+visible indexes and catalog refreshes change the statistics between calls,
+so a fact kept across calls would price the next call with stale inputs.
+
+The DP never walks a plan tree.  A keep-all state keys each plan by
+``(IOC, output order)``, so a join's IOC is built with the join, as the
+union of its outer plan's IOC (read back from that plan's state key) and its
+inner access path's; a state plan's table set is its state's subset.  The
+one table keyed by plan nodes -- one explicit sort per (outer plan, sort
+column) -- lives while one state is extended and keys on the plan objects,
+which that state keeps alive, never on ``id()``, which freed plans recycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.hooks import OptimizerHooks
@@ -43,6 +59,55 @@ from repro.optimizer.plan import (
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.query.ast import ColumnRef, JoinPredicate, Query
 from repro.util.errors import PlanningError
+
+
+class PlanningContext:
+    """The query-derived facts of one optimizer call, each computed once."""
+
+    def __init__(self, query: Query, selectivity: SelectivityEstimator) -> None:
+        self.query = query
+        #: Interesting-order columns per table.
+        self.orders_by_table: Dict[str, List[str]] = interesting_orders_by_table(query)
+        #: Columns each table's scan filters on.
+        self.filter_columns: Dict[str, Tuple[str, ...]] = {
+            table: tuple(p.column.column for p in query.filters_on(table))
+            for table in query.tables
+        }
+        self._selectivity = selectivity
+        self._widths: Dict[str, int] = {
+            table: selectivity.table_row_width(query, table) for table in query.tables
+        }
+        self._join_rows: Dict[FrozenSet[str], float] = {}
+
+    def join_rows(self, tables: FrozenSet[str]) -> float:
+        """Estimated cardinality of joining ``tables`` (once per table set)."""
+        rows = self._join_rows.get(tables)
+        if rows is None:
+            rows = self._selectivity.join_result_rows(self.query, tables)
+            self._join_rows[tables] = rows
+        return rows
+
+    def row_width(self, tables: Iterable[str]) -> int:
+        """Width in bytes of a joined row over ``tables``.
+
+        Equal to :meth:`SelectivityEstimator.output_row_width`, which sums
+        the same per-table widths.
+        """
+        return max(8, sum(self._widths[table] for table in tables))
+
+    def path_ioc(self, path: AccessPath) -> InterestingOrderCombination:
+        """The IOC of a plan reading ``path``: its order, if interesting, else Phi.
+
+        A leaf may provide an order on a column that is not interesting for
+        the query (e.g. a covering index chosen purely to avoid heap
+        fetches); such an order can never be exploited by a merge join or the
+        grouping planner, so for cache-keying purposes it is equivalent to
+        the empty order Phi.  A join's IOC is the union of its inputs'.
+        """
+        order = path.provided_order
+        if order not in self.orders_by_table[path.table]:
+            order = None
+        return InterestingOrderCombination({path.table: order})
 
 
 @dataclass
@@ -72,14 +137,14 @@ class JoinPlanner:
 
     def plan(
         self,
-        query: Query,
+        context: PlanningContext,
         access_paths: Dict[str, List[AccessPath]],
         hooks: Optional[OptimizerHooks] = None,
     ) -> JoinPlannerResult:
         """Run the DP and return the surviving top-level plans."""
         hooks = hooks or OptimizerHooks.disabled()
         keep_all = hooks.keep_all_ioc_plans
-        orders_by_table = interesting_orders_by_table(query)
+        query = context.query
 
         states: Dict[FrozenSet[str], Dict[Tuple, PlanNode]] = {}
         for table in query.tables:
@@ -89,8 +154,8 @@ class JoinPlanner:
             subset = frozenset({table})
             state: Dict[Tuple, PlanNode] = {}
             for path in paths:
-                scan = ScanNode(path, filter_columns=[p.column.column for p in query.filters_on(table)])
-                self._add_plan(state, scan, keep_all, orders_by_table)
+                scan = ScanNode(path, filter_columns=context.filter_columns[table])
+                self._add_plan(state, scan, context.path_ioc(path) if keep_all else None)
             states[subset] = state
 
         # Left-deep DP: each level joins one more table onto the previous level.
@@ -99,6 +164,10 @@ class JoinPlanner:
             for subset, state in states.items():
                 if len(subset) != level:
                     continue
+                # One explicit sort per (outer plan, sort column), shared by
+                # every inner access path and joined table that needs it.
+                outer_sorts: Dict[Tuple[PlanNode, ColumnRef], PlanNode] = {}
+                outer_width = context.row_width(subset)
                 for table in query.tables:
                     if table in subset:
                         continue
@@ -107,19 +176,48 @@ class JoinPlanner:
                         continue
                     new_subset = subset | {table}
                     target = next_states.setdefault(new_subset, {})
-                    output_rows = self._selectivity.join_result_rows(query, new_subset)
-                    for left_plan in state.values():
-                        for path in access_paths[table]:
-                            for plan in self._join_plans(
-                                query, left_plan, table, path, join_predicates, output_rows
-                            ):
-                                self._add_plan(target, plan, keep_all, orders_by_table)
+                    output_rows = context.join_rows(new_subset)
+                    join = join_predicates[0]
+                    inner_column = join.column_for(table)
+                    outer_column = join.other(table)
+                    merge_order = frozenset({outer_column, inner_column})
+                    inners = []
+                    for path in access_paths[table]:
+                        inner_scan, sorted_inner = self._inner_inputs(context, path, inner_column)
+                        inners.append((path, inner_scan, sorted_inner, context.path_ioc(path)))
+                    for left_key, left_plan in state.items():
+                        sorted_outer = outer_sorts.get((left_plan, outer_column))
+                        if sorted_outer is None:
+                            sorted_outer = self._sorted_on(left_plan, outer_column, outer_width)
+                            outer_sorts[(left_plan, outer_column)] = sorted_outer
+                        for path, inner_scan, sorted_inner, inner_ioc in inners:
+                            # Every join of this pair reads the same leaves.
+                            ioc = (
+                                InterestingOrderCombination.union((left_key[0], inner_ioc))
+                                if keep_all
+                                else None
+                            )
+                            plans = self._hash_join_plans(left_plan, inner_scan, join, output_rows)
+                            plans.append(
+                                self._merge_join_plan(
+                                    left_plan, sorted_outer, inner_scan, sorted_inner,
+                                    join, merge_order, output_rows,
+                                )
+                            )
+                            if self._enable_nestloop:
+                                nested = self._nested_loop_plan(
+                                    context, left_plan, path, join, inner_column, output_rows
+                                )
+                                if nested is not None:
+                                    plans.append(nested)
+                            for plan in plans:
+                                self._add_plan(target, plan, ioc)
             if keep_all and hooks.subsumption_pruning:
                 # The paper's Section V-D point: applying the subsumption rule
                 # *inside* the join planner keeps the per-IOC state small, so
                 # the single hooked call stays cheap.
                 for subset, state in next_states.items():
-                    next_states[subset] = self._prune_state_subsumed(state, orders_by_table)
+                    next_states[subset] = self._prune_state_subsumed(state)
             # Keep completed smaller subsets (they are no longer extended) out of
             # the working set to bound memory, but retain level-`level+1` states.
             states = {s: st for s, st in states.items() if len(s) != level}
@@ -135,23 +233,25 @@ class JoinPlanner:
 
         result = JoinPlannerResult(candidates=list(final_state.values()))
         if keep_all:
-            result.ioc_plans = self._collapse_per_ioc(final_state, orders_by_table)
+            result.ioc_plans = self._collapse_per_ioc(final_state)
             if hooks.subsumption_pruning:
                 result.ioc_plans = prune_subsumed_plans(result.ioc_plans)
         return result
 
     # -- DP bookkeeping ------------------------------------------------------------
 
+    @staticmethod
     def _add_plan(
-        self,
         state: Dict[Tuple, PlanNode],
         plan: PlanNode,
-        keep_all: bool,
-        orders_by_table: Dict[str, List[str]],
+        ioc: Optional[InterestingOrderCombination],
     ) -> None:
-        """PostgreSQL's ``add_path``: insert ``plan`` unless dominated."""
-        if keep_all:
-            ioc = normalized_ioc(plan, orders_by_table)
+        """PostgreSQL's ``add_path``: insert ``plan`` unless dominated.
+
+        ``ioc`` is the plan's combination in keep-all mode, where the state
+        key is ``(ioc, output order)``, and ``None`` in stock mode.
+        """
+        if ioc is not None:
             key = (ioc, plan.output_order)
             incumbent = state.get(key)
             if incumbent is None or plan.total_cost < incumbent.total_cost:
@@ -172,11 +272,8 @@ class JoinPlanner:
                 del state[key]
         state[(plan.output_order,)] = plan
 
-    def _prune_state_subsumed(
-        self,
-        state: Dict[Tuple, PlanNode],
-        orders_by_table: Dict[str, List[str]],
-    ) -> Dict[Tuple, PlanNode]:
+    @staticmethod
+    def _prune_state_subsumed(state: Dict[Tuple, PlanNode]) -> Dict[Tuple, PlanNode]:
         """Apply the Section V-D rule to one DP state (keep-all mode only).
 
         Within each interesting-order combination only plans that are not
@@ -188,7 +285,7 @@ class JoinPlanner:
         # Group the state's plans by the IOC of their leaves.
         by_ioc: Dict[InterestingOrderCombination, List[Tuple[Tuple, PlanNode]]] = {}
         for key, plan in state.items():
-            by_ioc.setdefault(normalized_ioc(plan, orders_by_table), []).append((key, plan))
+            by_ioc.setdefault(key[0], []).append((key, plan))
 
         cheapest: Dict[InterestingOrderCombination, float] = {
             ioc: min(plan.total_cost for _, plan in plans) for ioc, plans in by_ioc.items()
@@ -196,7 +293,7 @@ class JoinPlanner:
         pruned: Dict[Tuple, PlanNode] = {}
         for ioc, plans in by_ioc.items():
             subsumed = any(
-                other.is_subset_of(ioc) and cost < cheapest[ioc]
+                cost < cheapest[ioc] and other.is_subset_of(ioc)
                 for other, cost in cheapest.items()
                 if other != ioc
             )
@@ -219,15 +316,13 @@ class JoinPlanner:
                     pruned[key] = plan
         return pruned
 
+    @staticmethod
     def _collapse_per_ioc(
-        self,
         state: Dict[Tuple, PlanNode],
-        orders_by_table: Dict[str, List[str]],
     ) -> Dict[InterestingOrderCombination, PlanNode]:
         """Cheapest plan per interesting-order combination at the top level."""
         best: Dict[InterestingOrderCombination, PlanNode] = {}
-        for plan in state.values():
-            ioc = normalized_ioc(plan, orders_by_table)
+        for (ioc, _), plan in state.items():
             incumbent = best.get(ioc)
             if incumbent is None or plan.total_cost < incumbent.total_cost:
                 best[ioc] = plan
@@ -247,40 +342,29 @@ class JoinPlanner:
                 predicates.append(join)
         return predicates
 
-    def _join_plans(
-        self,
-        query: Query,
-        outer: PlanNode,
-        table: str,
-        path: AccessPath,
-        join_predicates: List[JoinPredicate],
-        output_rows: float,
-    ) -> List[PlanNode]:
-        """All join operators applicable to ``outer JOIN table(path)``."""
-        plans: List[PlanNode] = []
-        join = join_predicates[0]
-        inner_column = join.column_for(table)
-        outer_column = join.other(table)
+    def _sorted_on(self, plan: PlanNode, column: ColumnRef, width: int) -> PlanNode:
+        """``plan`` itself if its output is ordered on ``column``, else a sort of it.
 
-        inner_scan = ScanNode(
-            path, filter_columns=[p.column.column for p in query.filters_on(table)]
-        )
+        ``width`` is the byte width of ``plan``'s rows.
+        """
+        if column in plan.output_order:
+            return plan
+        sort_cost = self._cost_model.sort(plan.total_cost, plan.rows, width)
+        return SortNode(plan, (column,), sort_cost)
 
-        plans.extend(
-            self._hash_join_plans(outer, inner_scan, join, output_rows)
-        )
-        plans.append(
-            self._merge_join_plan(
-                query, outer, inner_scan, join, outer_column, inner_column, output_rows
-            )
-        )
-        if self._enable_nestloop:
-            nested = self._nested_loop_plan(
-                outer, path, join, inner_column, output_rows, query
-            )
-            if nested is not None:
-                plans.append(nested)
-        return plans
+    def _inner_inputs(
+        self, context: PlanningContext, path: AccessPath, inner_column: ColumnRef
+    ) -> Tuple[ScanNode, PlanNode]:
+        """The inner scan of ``path`` and its merge-join input (sorted if needed).
+
+        Neither depends on the outer plan, so one pair serves every outer.
+        """
+        inner_scan = ScanNode(path, filter_columns=context.filter_columns[path.table])
+        if path.provided_order == inner_column.column:
+            return inner_scan, inner_scan
+        width = context.row_width((inner_column.table,))
+        sort_cost = self._cost_model.sort(inner_scan.total_cost, inner_scan.rows, width)
+        return inner_scan, SortNode(inner_scan, (inner_column,), sort_cost)
 
     def _hash_join_plans(
         self,
@@ -304,7 +388,7 @@ class JoinPlanner:
             inner_rows=outer.rows,
             output_rows=output_rows,
         )
-        plans = [
+        plans: List[PlanNode] = [
             HashJoinNode(outer, inner_scan, join, cost_build_inner, output_rows, frozenset()),
         ]
         if cost_build_outer < cost_build_inner:
@@ -315,45 +399,32 @@ class JoinPlanner:
 
     def _merge_join_plan(
         self,
-        query: Query,
         outer: PlanNode,
+        sorted_outer: PlanNode,
         inner_scan: ScanNode,
+        sorted_inner: PlanNode,
         join: JoinPredicate,
-        outer_column: ColumnRef,
-        inner_column: ColumnRef,
+        output_order: FrozenSet[ColumnRef],
         output_rows: float,
     ) -> PlanNode:
-        """Merge join, adding explicit sorts on whichever inputs need them."""
-        outer_node = outer
-        if outer_column not in outer.output_order:
-            width = self._selectivity.output_row_width(query, outer.tables)
-            sort_cost = self._cost_model.sort(outer.total_cost, outer.rows, width)
-            outer_node = SortNode(outer, (outer_column,), sort_cost)
-
-        inner_node: PlanNode = inner_scan
-        if inner_scan.path.provided_order != inner_column.column:
-            width = self._selectivity.output_row_width(query, {inner_column.table})
-            sort_cost = self._cost_model.sort(inner_scan.total_cost, inner_scan.rows, width)
-            inner_node = SortNode(inner_scan, (inner_column,), sort_cost)
-
+        """Merge join of the two inputs, each already sorted on its join key."""
         cost = self._cost_model.merge_join(
-            outer_cost_sorted=outer_node.total_cost,
-            inner_cost_sorted=inner_node.total_cost,
+            outer_cost_sorted=sorted_outer.total_cost,
+            inner_cost_sorted=sorted_inner.total_cost,
             outer_rows=outer.rows,
             inner_rows=inner_scan.rows,
             output_rows=output_rows,
         )
-        output_order = frozenset({outer_column, inner_column})
-        return MergeJoinNode(outer_node, inner_node, join, cost, output_rows, output_order)
+        return MergeJoinNode(sorted_outer, sorted_inner, join, cost, output_rows, output_order)
 
     def _nested_loop_plan(
         self,
+        context: PlanningContext,
         outer: PlanNode,
         path: AccessPath,
         join: JoinPredicate,
         inner_column: ColumnRef,
         output_rows: float,
-        query: Query,
     ) -> Optional[PlanNode]:
         """Parameterized nested-loop join (index probe on the join column)."""
         if not path.supports_probe or path.index is None:
@@ -364,7 +435,7 @@ class JoinPlanner:
             path,
             multiplier=max(1.0, outer.rows),
             parameterized=True,
-            filter_columns=[p.column.column for p in query.filters_on(inner_column.table)],
+            filter_columns=context.filter_columns[inner_column.table],
         )
         cost = self._cost_model.nested_loop_join(
             outer_cost=outer.total_cost,
@@ -377,25 +448,6 @@ class JoinPlanner:
 
 
 # -- helpers shared with PINUM ----------------------------------------------------------
-
-
-def normalized_ioc(
-    plan: PlanNode, orders_by_table: Dict[str, List[str]]
-) -> InterestingOrderCombination:
-    """The plan's leaf-order combination restricted to *interesting* orders.
-
-    A leaf may provide an order on a column that is not interesting for the
-    query (e.g. a covering index chosen purely to avoid heap fetches); such an
-    order can never be exploited by a merge join or the grouping planner, so
-    for cache-keying purposes it is equivalent to the empty order Phi.
-    """
-    orders: Dict[str, Optional[str]] = {}
-    for slot in plan.leaf_slots():
-        provided = slot.path.provided_order
-        if provided is not None and provided not in orders_by_table.get(slot.table, []):
-            provided = None
-        orders[slot.table] = provided
-    return InterestingOrderCombination(orders)
 
 
 def prune_subsumed_plans(

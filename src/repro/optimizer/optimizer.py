@@ -10,8 +10,9 @@ reported both in wall-clock time and in number of optimizer invocations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.catalog.catalog import Catalog
 from repro.optimizer.cost_model import CostModel, CostParameters
@@ -36,6 +37,13 @@ class OptimizerOptions:
 
     enable_nestloop: bool = True
     cost_parameters: CostParameters = field(default_factory=CostParameters)
+
+
+#: How many of the most recent calls :attr:`Optimizer.call_log` keeps.  A
+#: serving process keeps one optimizer for its whole life, so the log must not
+#: grow with the number of calls; ``call_count`` and
+#: ``total_optimization_seconds`` still cover every call.
+CALL_LOG_LIMIT = 256
 
 
 @dataclass
@@ -78,7 +86,8 @@ class Optimizer:
         self.cost_model = CostModel(self.options.cost_parameters)
         self._preprocessor = QueryPreprocessor(catalog)
         self.call_count = 0
-        self.call_log: List[CallRecord] = []
+        self._optimization_seconds = 0.0
+        self._recent_calls: Deque[CallRecord] = deque(maxlen=CALL_LOG_LIMIT)
 
     # -- the optimizer call ----------------------------------------------------------
 
@@ -106,7 +115,8 @@ class Optimizer:
 
         elapsed = timer.seconds
         self.call_count += 1
-        self.call_log.append(
+        self._optimization_seconds += elapsed
+        self._recent_calls.append(
             CallRecord(
                 query_name=query.name,
                 elapsed_seconds=elapsed,
@@ -131,9 +141,18 @@ class Optimizer:
     def reset_counters(self) -> None:
         """Forget call counts and timings (used between experiment phases)."""
         self.call_count = 0
-        self.call_log = []
+        self._optimization_seconds = 0.0
+        self._recent_calls.clear()
+
+    @property
+    def call_log(self) -> List[CallRecord]:
+        """The most recent calls since the last reset, oldest first.
+
+        At most :data:`CALL_LOG_LIMIT` records; the list is the caller's own.
+        """
+        return list(self._recent_calls)
 
     @property
     def total_optimization_seconds(self) -> float:
         """Wall-clock seconds spent inside :meth:`optimize` since the last reset."""
-        return sum(record.elapsed_seconds for record in self.call_log)
+        return self._optimization_seconds

@@ -72,11 +72,14 @@ class SelectivityEstimator:
 
         The estimate is the product of filtered base-table cardinalities
         multiplied by the selectivity of every join predicate internal to the
-        subset -- the standard System-R formula.
+        subset -- the standard System-R formula.  The product runs in FROM
+        order, not in the subset's set order, so the estimate does not move
+        by an ulp with the interpreter's string-hash seed.
         """
         rows = 1.0
-        for table in tables:
-            rows *= self.table_rows(query, table)
+        for table in query.tables:
+            if table in tables:
+                rows *= self.table_rows(query, table)
         for join in query.joins:
             if join.tables <= tables:
                 rows *= self.join_selectivity(join)
@@ -99,15 +102,17 @@ class SelectivityEstimator:
 
     def output_row_width(self, query: Query, tables: Iterable[str]) -> int:
         """Approximate width in bytes of a joined row over ``tables``."""
-        width = 0
-        for table in tables:
-            stats = self._catalog.statistics(table)
-            columns = query.columns_of(table)
-            if columns:
-                width += stats.tuple_width(columns)
-            else:
-                width += stats.tuple_width([stats.table.columns[0].name])
-        return max(8, width)
+        return max(8, sum(self.table_row_width(query, table) for table in tables))
+
+    def table_row_width(self, query: Query, table: str) -> int:
+        """Width in bytes of ``table``'s columns the query references.
+
+        A table the query reads no column of still contributes its first
+        column, so a joined row never has a zero-width member.
+        """
+        stats = self._catalog.statistics(table)
+        columns = query.columns_of(table) or [stats.table.columns[0].name]
+        return stats.tuple_width(columns)
 
     def statistics(self, table: str) -> TableStatistics:
         """Convenience pass-through used by the access-path collector."""

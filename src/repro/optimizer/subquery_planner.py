@@ -18,7 +18,7 @@ from repro.optimizer.cost_model import CostModel
 from repro.optimizer.grouping_planner import GroupingPlanner
 from repro.optimizer.hooks import OptimizerHooks
 from repro.optimizer.interesting_orders import InterestingOrderCombination
-from repro.optimizer.joinplanner import JoinPlanner
+from repro.optimizer.joinplanner import JoinPlanner, PlanningContext
 from repro.optimizer.plan import PlanNode
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.query.ast import Query
@@ -47,14 +47,15 @@ class SubqueryPlanner:
     ) -> "SubqueryPlan":
         """Plan ``query`` and return the best plan plus any hook exports."""
         hooks = hooks or OptimizerHooks.disabled()
+        context = PlanningContext(query, self._selectivity)
         access_paths = self._collector.collect(query, hooks)
-        join_result = self._join_planner.plan(query, access_paths, hooks)
-        best_plan = self._grouping_planner.choose_best(query, join_result.candidates)
+        join_result = self._join_planner.plan(context, access_paths, hooks)
+        best_plan = self._grouping_planner.choose_best(context, join_result.candidates)
 
         ioc_plans: Dict[InterestingOrderCombination, PlanNode] = {}
         if hooks.keep_all_ioc_plans:
             for ioc, plan in join_result.ioc_plans.items():
-                ioc_plans[ioc] = self._grouping_planner.finalize(query, plan)
+                ioc_plans[ioc] = self._grouping_planner.finalize(context, plan)
             hooks.collected_plans.update(ioc_plans)
         return SubqueryPlan(best_plan=best_plan, ioc_plans=ioc_plans)
 

@@ -1,5 +1,7 @@
 """Tests for plan execution: correctness of every operator and I/O accounting."""
 
+import dataclasses
+
 import pytest
 
 from repro.catalog.index import Index
@@ -20,7 +22,41 @@ def database(small_catalog):
 
 
 def reference_join_rows(database, query):
-    """Brute-force evaluation of a query's join + filters (no grouping)."""
+    """Reference evaluation of a query's join + filters (no grouping).
+
+    Each table's filters are applied to its own rows, then the tables are
+    hash-joined in FROM order on every join predicate linking them to the
+    tables already joined (a table linked to none is crossed with them).
+    The rows, and their order, are those of the brute-force cartesian
+    product filtered afterwards; ``TestReferenceOracle`` proves it on small
+    inputs, where the product is cheap to enumerate.
+    """
+    from repro.executor.predicates import apply_predicates, qualify_row
+
+    rows = [{}]
+    joined = set()
+    for table in query.tables:
+        scanned = apply_predicates(
+            query.filters_on(table),
+            (qualify_row(table, raw) for raw in database.relation(table).rows()),
+        )
+        links = [j for j in query.joins if table in j.tables and j.tables - {table} <= joined]
+        inner_keys = [str(j.column_for(table)) for j in links]
+        outer_keys = [str(j.other(table)) for j in links]
+        buckets = {}
+        for row in scanned:
+            buckets.setdefault(tuple(row[k] for k in inner_keys), []).append(row)
+        rows = [
+            {**outer, **inner}
+            for outer in rows
+            for inner in buckets.get(tuple(outer[k] for k in outer_keys), ())
+        ]
+        joined.add(table)
+    return rows
+
+
+def cartesian_reference_rows(database, query):
+    """Brute-force evaluation: the full cartesian product, then every predicate."""
     from repro.executor.predicates import apply_predicates, qualify_row
     import itertools
 
@@ -40,6 +76,55 @@ def reference_join_rows(database, query):
         if ok:
             rows.append(merged)
     return apply_predicates(query.filters, rows)
+
+
+def _unfiltered(query):
+    return dataclasses.replace(query, filters=())
+
+
+class TestReferenceOracle:
+    """The hash-join reference is the cartesian-product reference, row for row."""
+
+    @pytest.fixture
+    def tiny_database(self, small_catalog):
+        db = DataGenerator(small_catalog, seed=5).generate(
+            row_counts={"customers": 12, "products": 9, "sales": 60}
+        )
+        db.analyze()
+        return db
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QueryBuilder("two_way")
+            .select("sales.s_amount", "customers.c_region")
+            .join("sales.s_customer", "customers.c_id")
+            .where("customers.c_region", "<=", 10_000)
+            .build(),
+            lambda: QueryBuilder("three_way_filters")
+            .select("sales.s_amount")
+            .join("sales.s_customer", "customers.c_id")
+            .join("sales.s_product", "products.p_id")
+            .where_between("products.p_category", 1, 2_500)
+            .where("sales.s_quantity", ">=", 200_000)
+            .build(),
+            # FROM order that meets its first join only at the third table.
+            lambda: QueryBuilder("cross_then_join")
+            .select("customers.c_region", "products.p_price")
+            .from_tables("customers", "products", "sales")
+            .join("sales.s_customer", "customers.c_id")
+            .join("sales.s_product", "products.p_id")
+            .where("customers.c_region", ">=", 5_000)
+            .build(),
+        ],
+        ids=["two_way", "three_way_filters", "cross_then_join"],
+    )
+    def test_hash_join_reference_equals_cartesian_product(self, tiny_database, build):
+        query = build()
+        expected = cartesian_reference_rows(tiny_database, query)
+        # The filters keep a share of the rows, so the comparison is not vacuous.
+        assert 0 < len(expected) < len(cartesian_reference_rows(tiny_database, _unfiltered(query)))
+        assert reference_join_rows(tiny_database, query) == expected
 
 
 class TestScans:

@@ -68,24 +68,27 @@ class TestChooseBest:
     def test_choose_best_requires_candidates(self, small_catalog, join_query):
         from repro.optimizer.cost_model import CostModel
         from repro.optimizer.grouping_planner import GroupingPlanner
+        from repro.optimizer.joinplanner import PlanningContext
         from repro.optimizer.selectivity import SelectivityEstimator
         from repro.util.errors import PlanningError
 
-        planner = GroupingPlanner(CostModel(), SelectivityEstimator(small_catalog))
+        selectivity = SelectivityEstimator(small_catalog)
+        planner = GroupingPlanner(CostModel(), selectivity)
         with pytest.raises(PlanningError):
-            planner.choose_best(join_query, [])
+            planner.choose_best(PlanningContext(join_query, selectivity), [])
 
     def test_finalize_all_preserves_count(self, small_catalog, join_query):
         from repro.optimizer.access_paths import AccessPathCollector
         from repro.optimizer.cost_model import CostModel
         from repro.optimizer.grouping_planner import GroupingPlanner
-        from repro.optimizer.joinplanner import JoinPlanner
+        from repro.optimizer.joinplanner import JoinPlanner, PlanningContext
         from repro.optimizer.selectivity import SelectivityEstimator
 
         selectivity = SelectivityEstimator(small_catalog)
         collector = AccessPathCollector(small_catalog, CostModel(), selectivity)
         join_planner = JoinPlanner(CostModel(), selectivity)
         grouping = GroupingPlanner(CostModel(), selectivity)
-        candidates = join_planner.plan(join_query, collector.collect(join_query)).candidates
-        finalized = grouping.finalize_all(join_query, candidates)
+        context = PlanningContext(join_query, selectivity)
+        candidates = join_planner.plan(context, collector.collect(join_query)).candidates
+        finalized = grouping.finalize_all(context, candidates)
         assert len(finalized) == len(candidates)

@@ -4,19 +4,35 @@ import pytest
 
 from repro.catalog.index import Index
 from repro.optimizer.access_paths import AccessPathCollector
-from repro.optimizer.cost_model import CostModel
+from repro.optimizer.cost_model import CostModel, CostParameters
 from repro.optimizer.hooks import OptimizerHooks
-from repro.optimizer.interesting_orders import enumerate_combinations, interesting_orders_by_table
-from repro.optimizer.joinplanner import JoinPlanner, normalized_ioc, prune_subsumed_plans
+from repro.optimizer.interesting_orders import (
+    InterestingOrderCombination,
+    enumerate_combinations,
+    interesting_orders_by_table,
+)
+from repro.optimizer.joinplanner import JoinPlanner, PlanningContext, prune_subsumed_plans
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.query import QueryBuilder
 from repro.util.errors import PlanningError
 
 
+class _Planner:
+    """Plans each query through a fresh per-call context, as the optimizer does."""
+
+    def __init__(self, selectivity, enable_nestloop):
+        self._selectivity = selectivity
+        self._planner = JoinPlanner(CostModel(), selectivity, enable_nestloop)
+
+    def plan(self, query, access_paths, hooks=None):
+        context = PlanningContext(query, self._selectivity)
+        return self._planner.plan(context, access_paths, hooks)
+
+
 def make_planner(catalog, enable_nestloop=True):
     selectivity = SelectivityEstimator(catalog)
     return (
-        JoinPlanner(CostModel(), selectivity, enable_nestloop),
+        _Planner(selectivity, enable_nestloop),
         AccessPathCollector(catalog, CostModel(), selectivity),
     )
 
@@ -90,6 +106,37 @@ class TestJoinMethods:
         best_off = min(p.total_cost for p in planner_off.plan(join_query, paths).candidates)
         assert best_on <= best_off + 1e-6
 
+    def test_merge_join_sorts_priced_with_reference_widths(self, small_catalog, join_query):
+        """Every explicit merge-join sort is priced with the estimator's width."""
+        small_catalog.add_index(Index("sales", ["s_customer"]))
+        small_catalog.add_index(Index("customers", ["c_id"]))
+        selectivity = SelectivityEstimator(small_catalog)
+        # A one-page work_mem makes every sort spill, so its cost depends on
+        # the row width.
+        cost_model = CostModel(CostParameters(work_mem_pages=1))
+        planner = JoinPlanner(cost_model, selectivity)
+        collector = AccessPathCollector(small_catalog, cost_model, selectivity)
+        hooks = OptimizerHooks(keep_all_ioc_plans=True, subsumption_pruning=False)
+        context = PlanningContext(join_query, selectivity)
+        result = planner.plan(context, collector.collect(join_query), hooks)
+        sorts = [
+            child
+            for plan in [*result.candidates, *result.ioc_plans.values()]
+            for node in plan.walk()
+            if node.node_type == "mergejoin"
+            for child in node.children
+            if child.node_type == "sort"
+        ]
+        assert sorts
+        spilled = 0
+        for sort in sorts:
+            (child,) = sort.children
+            width = selectivity.output_row_width(join_query, child.tables)
+            assert sort.total_cost == cost_model.sort(child.total_cost, child.rows, width)
+            pages = child.rows * width / cost_model.params.page_size
+            spilled += pages > cost_model.params.work_mem_pages
+        assert spilled, "no sort spills, so a wrong row width would go unnoticed"
+
 
 class TestKeepAllIocPlans:
     def _hooked(self, subsumption=False):
@@ -119,9 +166,46 @@ class TestKeepAllIocPlans:
         small_catalog.add_index(Index("customers", ["c_id"]))
         planner, collector = make_planner(small_catalog)
         result = planner.plan(join_query, collector.collect(join_query), self._hooked())
-        orders = interesting_orders_by_table(join_query)
+        self._assert_keys_are_normalized_leaf_orders(join_query, result)
+
+    def test_uninteresting_leaf_orders_key_as_phi(self, small_catalog):
+        """A leaf ordered on a filter-only column keys its plan like a seq scan."""
+        query = (
+            QueryBuilder("filtered_amounts")
+            .select("customers.c_region")
+            .aggregate("sum", "sales.s_amount")
+            .join("sales.s_customer", "customers.c_id")
+            .join("sales.s_product", "products.p_id")
+            .where("sales.s_amount", "<=", 1_000)
+            .group_by("customers.c_region")
+            .build()
+        )
+        small_catalog.add_index(Index("sales", ["s_amount"]))
+        small_catalog.add_index(Index("customers", ["c_id"]))
+        planner, collector = make_planner(small_catalog)
+        result = planner.plan(query, collector.collect(query), self._hooked())
+        assert "s_amount" not in interesting_orders_by_table(query)["sales"]
+        uses_filter_order = [
+            ioc
+            for ioc, plan in result.ioc_plans.items()
+            if any(slot.path.provided_order == "s_amount" for slot in plan.leaf_slots())
+        ]
+        assert uses_filter_order, "no kept plan reads the filter-ordered index"
+        assert all(ioc.order_for("sales") is None for ioc in uses_filter_order)
+        self._assert_keys_are_normalized_leaf_orders(query, result)
+
+    @staticmethod
+    def _assert_keys_are_normalized_leaf_orders(query, result):
+        orders = interesting_orders_by_table(query)
         for ioc, plan in result.ioc_plans.items():
-            assert normalized_ioc(plan, orders) == ioc
+            # Reference: the leaf orders, with uninteresting ones read as Phi.
+            leaf_orders = {
+                slot.table: slot.path.provided_order
+                if slot.path.provided_order in orders[slot.table]
+                else None
+                for slot in plan.leaf_slots()
+            }
+            assert InterestingOrderCombination(leaf_orders) == ioc
 
     def test_best_plan_unchanged_by_hook(self, small_catalog, join_query):
         """Keeping extra plans must not change which plan is cheapest."""

@@ -5,6 +5,7 @@ import pytest
 from repro.catalog.index import Index
 from repro.optimizer import Optimizer, OptimizerHooks, OptimizerOptions
 from repro.optimizer.cost_model import CostParameters
+from repro.optimizer.optimizer import CALL_LOG_LIMIT
 from repro.query import QueryBuilder
 from repro.util.errors import QueryError
 
@@ -50,6 +51,23 @@ class TestCallAccounting:
     def test_call_log_records_nestloop_flag(self, optimizer, join_query):
         optimizer.optimize(join_query, enable_nestloop=False)
         assert optimizer.call_log[-1].enable_nestloop is False
+
+    def test_call_log_is_bounded_but_totals_are_not(self, optimizer, simple_query):
+        calls = CALL_LOG_LIMIT + 20
+        for number in range(calls):
+            optimizer.optimize(simple_query, enable_nestloop=number % 2 == 0)
+        assert optimizer.call_count == calls
+        log = optimizer.call_log
+        assert len(log) == CALL_LOG_LIMIT
+        # The log keeps the most recent calls: the last one had nested loops off.
+        assert log[-1].enable_nestloop is False
+        assert log[0].enable_nestloop is True  # call number 20, oldest kept
+        # The running total covers the evicted calls too.
+        assert optimizer.total_optimization_seconds > sum(r.elapsed_seconds for r in log)
+        optimizer.reset_counters()
+        assert optimizer.call_count == 0
+        assert optimizer.call_log == []
+        assert optimizer.total_optimization_seconds == 0.0
 
 
 class TestOptions:
