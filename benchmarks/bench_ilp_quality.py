@@ -66,27 +66,26 @@ def _run_quality_comparison(star_workload):
             lazy_steps[-1].workload_cost_after if lazy_steps else baseline
         )
 
-        # The ``--engine arena`` axis: the same warm start computed over the
-        # fused arena (compile included in the timing).  The solver below is
-        # engine-independent -- it prices the BIP from the caches -- so only
-        # the warm start's wall time moves.  Picks are compared as sets: the
-        # star dimensions are symmetric, and the arena's regrouped sums can
-        # land an exact tie one ulp apart from the per-query engines,
-        # permuting tied picks (the same allowance bench_greedy_selection
-        # documents).
+        # The ``--engine scalar`` axis: the same warm start computed over the
+        # scalar reference walk.  The solver below is engine-independent --
+        # it prices the BIP from the caches -- so only the warm start's wall
+        # time moves.  Picks are compared as sets: the star dimensions are
+        # symmetric, and the arena's regrouped sums can land an exact tie one
+        # ulp apart from the scalar walk, permuting tied picks (the same
+        # allowance bench_greedy_selection documents).
         started = time.perf_counter()
+        model.select_engine("scalar")
+        scalar_steps = LazyGreedySelector(catalog, model, BUDGET).select(candidates)
+        scalar_seconds = time.perf_counter() - started
         model.select_engine("arena")
-        arena_steps = LazyGreedySelector(catalog, model, BUDGET).select(candidates)
-        arena_seconds = time.perf_counter() - started
-        model.select_engine("auto")
-        assert {step.chosen.key for step in arena_steps} == {
+        assert {step.chosen.key for step in scalar_steps} == {
             step.chosen.key for step in lazy_steps
-        } and len(arena_steps) == len(lazy_steps), (
-            f"arena warm start diverged from the per-query engines at {count} candidates"
+        } and len(scalar_steps) == len(lazy_steps), (
+            f"arena warm start diverged from the scalar reference at {count} candidates"
         )
         if lazy_steps:
-            arena_cost = arena_steps[-1].workload_cost_after
-            assert abs(arena_cost - lazy_cost) <= 1e-9 * max(1.0, abs(lazy_cost)), (
+            scalar_cost = scalar_steps[-1].workload_cost_after
+            assert abs(scalar_cost - lazy_cost) <= 1e-9 * max(1.0, abs(lazy_cost)), (
                 f"arena warm-start cost diverged at {count} candidates"
             )
 
@@ -142,7 +141,7 @@ def _run_quality_comparison(star_workload):
                 "nodes": solution.nodes_explored,
                 "incumbent_source": solution.incumbent_source,
                 "lazy_seconds": lazy_seconds,
-                "arena_seconds": arena_seconds,
+                "scalar_seconds": scalar_seconds,
                 "ilp_seconds": ilp_seconds,
                 "bip_variables": formulation.statistics.variables,
                 "bip_constraints": formulation.statistics.constraints,
@@ -160,14 +159,14 @@ def test_ilp_quality_vs_greedy(benchmark, star_workload):
     table = ExperimentTable(
         f"Selection quality: lazy greedy vs ILP (budget 5 GB, {query_count} queries)",
         ["candidates", "lazy benefit", "ilp benefit", "ilp vs lazy", "proven gap",
-         "nodes", "lazy (s)", "arena warm (s)", "ilp (s)"],
+         "nodes", "lazy (s)", "scalar warm (s)", "ilp (s)"],
     )
     for row in quality_rows:
         table.add_row(
             row["candidates"], row["lazy_benefit"], row["ilp_benefit"],
             f"+{row['improvement_pct']:.1f}%",
             f"{row['gap'] * 100.0:.2f}%", row["nodes"],
-            f"{row['lazy_seconds']:.2f}", f"{row['arena_seconds']:.2f}",
+            f"{row['lazy_seconds']:.2f}", f"{row['scalar_seconds']:.2f}",
             f"{row['ilp_seconds']:.2f}",
         )
     table.print()

@@ -3,21 +3,22 @@
 Reads the ``selection_phase`` rows that ``bench_greedy_selection.py`` writes
 into ``BENCH_ci.json`` (pytest-benchmark ``extra_info``) and compares them
 against the committed ``benchmarks/baselines.json``.  Wall-clock seconds are
-meaningless across runner generations, so each optimized path is normalized
-by the *seed* scalar path measured in the same run: the seed loop is frozen
-code, so ``lazy_seconds / seed_seconds`` moves only when the optimized path
-itself regresses, and the runner's speed cancels out.  A ratio more than
+meaningless across runner generations, so the production path (lazy
+selection over the workload arena) is normalized by the *seed* scalar path
+measured in the same run: the seed loop is frozen code, so
+``arena_seconds / seed_seconds`` moves only when the production path itself
+regresses, and the runner's speed cancels out.  A ratio more than
 ``tolerance`` (default 1.25, i.e. a >25 % selection wall-time regression)
 above its committed baseline fails the job.
 
 Rows below ``min_candidates`` (default 60) are reported but not gated: their
 millisecond-scale timings are too noisy for a 25 % bound on shared runners.
 
-The online daemon's ``warm_over_cold`` ratio (``bench_online_drift.py``:
-boundary re-tune seconds over a cold tune of the same window, both measured
-in the same process) is gated the same way when present in the report; runs
-without online rows just note the absence, so partial benchmark invocations
-keep passing.
+The online daemon's ``warm_self_over_seed`` ratio (``bench_online_drift.py``:
+the boundary re-tune's seconds outside the what-if optimizer over the seed
+loop on the same window, paired in the same process) is gated the same way,
+per engine, when present in the report; runs without online rows just note
+the absence, so partial benchmark invocations keep passing.
 
 The workload-compression ``compression_speedup``
 (``bench_workload_compression.py``: uncompressed tune seconds over the
@@ -47,9 +48,11 @@ DEFAULT_BASELINES = Path(__file__).resolve().parent / "baselines.json"
 
 #: The normalized metrics gated per candidate-count row.
 RATIOS = {
-    "lazy_over_seed": "lazy_seconds",
     "arena_over_seed": "arena_seconds",
 }
+
+#: The online daemon's gated metric (per engine).
+ONLINE_RATIO = "warm_self_over_seed"
 
 
 def selection_rows(report_path: Path) -> list:
@@ -66,7 +69,7 @@ def selection_rows(report_path: Path) -> list:
 
 
 def online_ratios(report_path: Path) -> dict:
-    """``engine -> warm_over_cold`` from ``bench_online_drift.py`` rows.
+    """``engine -> warm_self_over_seed`` from ``bench_online_drift.py`` rows.
 
     Empty when the report has no online rows (partial runs are fine).
     """
@@ -74,8 +77,8 @@ def online_ratios(report_path: Path) -> dict:
     ratios = {}
     for bench in report.get("benchmarks", []):
         info = bench.get("extra_info", {}).get("online_drift")
-        if info and "warm_over_cold" in info:
-            ratios[str(info.get("engine", "auto"))] = float(info["warm_over_cold"])
+        if info and ONLINE_RATIO in info:
+            ratios[str(info["engine"])] = float(info[ONLINE_RATIO])
     return ratios
 
 
@@ -126,12 +129,9 @@ def update(baselines_path: Path, ratios: dict, online: dict, compression: float)
         row = merged.setdefault(count, {})
         for name, value in values.items():
             row[name] = round(max(float(row.get(name, 0.0)), value), 4)
-    if online:
-        row = baselines.setdefault("online_drift", {})
-        worst = max(online.values())
-        row["warm_over_cold"] = round(
-            max(float(row.get("warm_over_cold", 0.0)), worst), 4
-        )
+    for engine, value in online.items():
+        row = baselines.setdefault("online_drift", {}).setdefault(engine, {})
+        row[ONLINE_RATIO] = round(max(float(row.get(ONLINE_RATIO, 0.0)), value), 4)
     if compression > 0.0:
         # Bigger is better here, so "worst seen" is the *smallest* speedup.
         row = baselines.setdefault("workload_compression", {})
@@ -191,7 +191,7 @@ def check(
     else:
         committed_online = baselines.get("online_drift", {})
         for engine, value in sorted(online.items()):
-            baseline = committed_online.get("warm_over_cold")
+            baseline = committed_online.get(engine, {}).get(ONLINE_RATIO)
             if baseline is None:
                 failures.append(
                     f"  online_drift/{engine}: no committed baseline -- run "
@@ -201,12 +201,12 @@ def check(
             limit = float(baseline) * tolerance
             verdict = "ok" if value <= limit else "REGRESSED"
             print(
-                f"  online engine={engine:<7} warm_over_cold   {value:.4f} "
+                f"  online engine={engine:<7} {ONLINE_RATIO} {value:.4f} "
                 f"(baseline {baseline:.4f}, limit {limit:.4f}) {verdict}"
             )
             if value > limit:
                 failures.append(
-                    f"  online_drift/{engine}: warm_over_cold {value:.4f} "
+                    f"  online_drift/{engine}: {ONLINE_RATIO} {value:.4f} "
                     f"exceeds {limit:.4f} (baseline {baseline} x {tolerance})"
                 )
 

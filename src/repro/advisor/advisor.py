@@ -144,14 +144,14 @@ class AdvisorOptions:
 
     ``selector`` picks the search: ``"lazy"`` (default, the CELF-style
     loop of :mod:`repro.advisor.lazy_greedy` -- identical picks, far fewer
-    benefit evaluations), ``"exhaustive"`` (the paper's literal loop) or
+    benefit evaluations) or
     ``"ilp"`` (the CoPhy-style branch-and-bound solver of
     :mod:`repro.advisor.ilp` -- provably optimal within ``ilp_gap``, or the
     best-found selection with a proven gap when ``ilp_time_limit`` seconds
     run out; never worse than ``"lazy"``, whose picks warm-start it).
-    ``engine`` picks how cache-backed models evaluate: ``"auto"`` (default,
-    compiled arithmetic, vectorized with numpy when installed), ``"numpy"``,
-    ``"python"`` or ``"scalar"`` (the original per-slot walk).
+    ``engine`` picks how cache-backed models evaluate: ``"arena"`` (default,
+    the fused workload arena, vectorized with numpy when installed) or
+    ``"scalar"`` (the original per-slot walk, kept as the reference).
 
     ``candidate_policy`` controls candidate generation: ``"workload"``
     (default, one workload-wide pool -- the paper's arrangement) or
@@ -178,7 +178,7 @@ class AdvisorOptions:
     jobs: int = 1
     cache_dir: Optional[str] = None
     selector: str = "lazy"
-    engine: str = "auto"
+    engine: str = "arena"
     candidate_policy: str = "workload"
     #: Fold the workload by template fingerprint before tuning
     #: (:mod:`repro.workloads.compress`): one weighted representative per
@@ -212,10 +212,7 @@ class AdvisorOptions:
                 f"{self.cost_model!r}: the BIP is formulated over per-query "
                 "plan caches"
             )
-        # Engines also probe availability eagerly (e.g. engine="numpy"
-        # without numpy installed), before recommend() pays for a whole
-        # cache build only to have the cost model reject it afterwards.
-        ENGINES.get(self.engine).ensure_available()
+        ENGINES.validate(self.engine)
         if self.statement_weights is not None:
             items = (
                 self.statement_weights.items()
@@ -252,9 +249,8 @@ class AdvisorResult:
     preparation_optimizer_calls: int = 0
     preparation_seconds: float = 0.0
     selector: str = "lazy"
-    #: The *resolved* evaluation backend ("numpy", "python", "scalar", or
-    #: "optimizer" for the raw what-if oracle) -- not the requested option,
-    #: so ``engine="auto"`` runs report what actually executed.
+    #: The evaluation engine that answered ("arena", "scalar", or
+    #: "optimizer" for the raw what-if oracle).
     engine: str = "scalar"
     selection_seconds: float = 0.0
     selection_candidate_evaluations: int = 0

@@ -10,15 +10,15 @@ cost if this index set exists?*  Three interchangeable answers are provided:
 * :class:`CacheBackedWorkloadCostModel` with ``mode="pinum"`` -- the paper's
   configuration: same arithmetic, caches built 5-10x faster.
 
-Two layers make the selection phase itself workload-scale:
-
-* the cache-backed model evaluates through a compiled
-  :mod:`~repro.inum.compiled` engine (vectorized with numpy when installed,
-  a pure-Python layout evaluation otherwise), and
-* :class:`IncrementalWorkloadEvaluator` maintains per-query current costs
-  and, via the model's table -> queries relevance map, re-evaluates only the
-  queries whose tables a candidate index touches instead of summing the
-  whole workload from scratch.
+The cache-backed model has two evaluation engines: the fused
+:class:`~repro.inum.arena.WorkloadArena` (the default; numpy-vectorized when
+installed, pure Python otherwise), which answers a whole workload or a whole
+candidate frontier in one call, and the scalar per-slot walk of
+:class:`~repro.inum.cost_estimation.InumCostModel`, the reference oracle.
+:class:`IncrementalWorkloadEvaluator` gives the selectors one surface over
+both (and over the optimizer-backed model): frontier batches under the
+arena, per-query delta evaluation via the model's table -> queries relevance
+map otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.inum.arena import WorkloadArena, arena_fingerprint, compile_arena
 from repro.inum.cache import InumCache
-from repro.inum.compiled import CompiledCostEngine, compile_cache, numpy_available
+from repro.inum.compiled import _CompiledLayout, compile_cache, numpy_available
 from repro.inum.cost_estimation import InumCostModel
 from repro.inum.serialization import CacheStore
 from repro.inum.workload_builder import WorkloadBuilderOptions, WorkloadCacheBuilder
@@ -44,18 +44,6 @@ from repro.pinum.cost_model import PinumCostModel
 from repro.query.ast import Query
 from repro.util.errors import AdvisorError
 from repro.util.fingerprint import configuration_signature, query_fingerprint
-
-#: Evaluation engines accepted by :class:`CacheBackedWorkloadCostModel`:
-#: ``"auto"`` compiles caches and lets :mod:`repro.inum.compiled` pick numpy
-#: or the pure-Python layout, ``"numpy"``/``"python"`` force a compiled
-#: backend, ``"scalar"`` keeps the original per-slot Python walk, and
-#: ``"arena"`` fuses every compiled layout into one
-#: :class:`~repro.inum.arena.WorkloadArena` so whole-workload and
-#: whole-frontier evaluations are single batched array operations.  The
-#: authoritative list lives in :data:`repro.api.registry.ENGINES`; this tuple
-#: mirrors the built-ins for documentation and back-compat.
-ENGINES = ("auto", "numpy", "python", "scalar", "arena")
-
 
 def validate_statement_weight(name: str, value: object, label: str = "statement weight") -> float:
     """Coerce one execution-frequency weight, raising on anything unusable.
@@ -76,23 +64,11 @@ def validate_statement_weight(name: str, value: object, label: str = "statement 
     return weight
 
 
-def _numpy_problem() -> Optional[str]:
-    if numpy_available():
-        return None
-    return (
-        "the numpy evaluation engine was requested but numpy is not "
-        "installed (pip install 'pinum-repro[perf]')"
-    )
-
-
 #: Engine specs registered (lazily) in :data:`repro.api.registry.ENGINES`.
-AUTO_ENGINE = EngineSpec("auto", compiled=True)
-NUMPY_ENGINE = EngineSpec("numpy", compiled=True, availability=_numpy_problem)
-PYTHON_ENGINE = EngineSpec("python", compiled=True)
-SCALAR_ENGINE = EngineSpec("scalar", compiled=False)
-#: The fused engine needs no availability gate: :func:`compile_arena` picks
-#: the numpy buffers when installed and the pure-Python layout otherwise.
-ARENA_ENGINE = EngineSpec("arena", compiled=False, fused=True)
+#: The arena needs no availability gate: :func:`compile_arena` picks the
+#: numpy buffers when installed and the pure-Python layout otherwise.
+ARENA_ENGINE = EngineSpec("arena", fused=True)
+SCALAR_ENGINE = EngineSpec("scalar", fused=False)
 
 
 class WorkloadCostModel(abc.ABC):
@@ -342,8 +318,9 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
     scale machinery applies: ``jobs`` fans the builds across a process pool,
     ``store`` reuses caches persisted by earlier runs, and identical-SQL
     queries are built once.  Every subsequent evaluation is pure arithmetic,
-    performed by the ``engine`` of choice (see :data:`ENGINES`; the default
-    ``"auto"`` vectorizes with numpy when available).
+    performed by the ``engine`` of choice: ``"arena"`` (the default, the
+    fused :class:`~repro.inum.arena.WorkloadArena`) or ``"scalar"`` (the
+    per-slot reference walk); see :data:`repro.api.registry.ENGINES`.
     """
 
     def __init__(
@@ -355,7 +332,7 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         jobs: int = 1,
         store: Optional[CacheStore] = None,
         catalog_factory: Optional[Callable[[], Catalog]] = None,
-        engine: str = "auto",
+        engine: str = "arena",
         call_cache: Optional[WhatIfCallCache] = None,
         per_query_candidates: Optional[Dict[str, List[Index]]] = None,
         weights: Optional[Mapping[str, float]] = None,
@@ -388,10 +365,10 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         queries: Sequence[Query],
         caches: Dict[str, InumCache],
         mode: str = "pinum",
-        engine: str = "auto",
+        engine: str = "arena",
         preparation_optimizer_calls: int = 0,
         preparation_seconds: float = 0.0,
-        engine_cache: Optional[Dict[Tuple[str, str], CompiledCostEngine]] = None,
+        layout_cache: Optional[Dict[str, _CompiledLayout]] = None,
         cache_ids: Optional[Dict[str, str]] = None,
         weights: Optional[Mapping[str, float]] = None,
         arena_cache: Optional[Dict[str, WorkloadArena]] = None,
@@ -400,10 +377,11 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
 
         No builder runs: the caches were constructed (or loaded) elsewhere,
         e.g. by a :class:`~repro.api.session.TuningSession`'s incremental
-        pool.  ``engine_cache``/``cache_ids`` let the caller share compiled
-        engines across model instances, keyed by a stable cache identity, so
-        a warm re-tune skips recompilation too; ``arena_cache`` does the
-        same for the fused workload arena.
+        pool.  ``layout_cache``/``cache_ids`` let the caller share compiled
+        per-cache layouts across model instances, keyed by a stable cache
+        identity, so an arena over a new workload restacks warm layouts
+        instead of recompiling them; ``arena_cache`` pools whole arenas by
+        workload fingerprint.
         """
         model = cls.__new__(cls)
         WorkloadCostModel.__init__(model, queries, weights=weights)
@@ -414,7 +392,7 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
             engine,
             preparation_optimizer_calls,
             preparation_seconds,
-            engine_cache=engine_cache,
+            layout_cache=layout_cache,
             cache_ids=cache_ids,
             arena_cache=arena_cache,
         )
@@ -427,7 +405,7 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         engine: str,
         preparation_calls: int,
         preparation_seconds: float,
-        engine_cache: Optional[Dict[Tuple[str, str], CompiledCostEngine]] = None,
+        layout_cache: Optional[Dict[str, _CompiledLayout]] = None,
         cache_ids: Optional[Dict[str, str]] = None,
         arena_cache: Optional[Dict[str, WorkloadArena]] = None,
     ) -> None:
@@ -438,8 +416,7 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         self._models: Dict[str, InumCostModel] = {}
         for name, cache in caches.items():
             self._models[name] = PinumCostModel(cache) if mode == "pinum" else InumCostModel(cache)
-        self._engines: Dict[str, CompiledCostEngine] = {}
-        self._engine_cache = engine_cache
+        self._layout_cache = layout_cache
         self._cache_ids = cache_ids or {}
         self._arena: Optional[WorkloadArena] = None
         self._arena_cache = arena_cache
@@ -448,37 +425,30 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         self._seconds = preparation_seconds
 
     def select_engine(self, engine: str) -> None:
-        """Switch the evaluation engine (compiling caches when needed).
+        """Switch the evaluation engine without rebuilding caches.
 
         Engine names resolve through :data:`repro.api.registry.ENGINES`, so
-        plugins appear here automatically.  Compilation is cheap (one pass
-        over each cache) and results land in the shared engine cache when
-        one was attached, so benchmarks and sessions can flip one model
-        between the scalar walk and the compiled backends without rebuilding
-        caches or recompiling warm ones.  The fused ``"arena"`` engine
-        compiles (or adopts from ``arena_cache``) one workload-wide arena
-        instead of per-query engines.
+        plugins appear here automatically.  The fused ``"arena"`` engine
+        compiles (or adopts from ``arena_cache``) one workload-wide arena;
+        ``"scalar"`` answers through the per-query reference walk.
         """
         spec: EngineSpec = ENGINE_REGISTRY.get(engine)
-        spec.ensure_available()
-        if getattr(spec, "fused", False):
-            self._engines = {}
-            self._arena = self._compile_arena()
-            return
-        self._arena = None
-        if not spec.compiled:
-            self._engines = {}
-            return
-        engines: Dict[str, CompiledCostEngine] = {}
+        self._arena = self._compile_arena() if spec.fused else None
+
+    def _pooled_layouts(self) -> Optional[Dict[str, _CompiledLayout]]:
+        """Per-statement layouts from the attached pool, compiling misses into
+        it (``None`` without a pool: the arena then compiles its own)."""
+        if self._layout_cache is None:
+            return None
+        layouts: Dict[str, _CompiledLayout] = {}
         for name, cache in self._caches.items():
-            key = (self._cache_ids.get(name, name), spec.name)
-            compiled = self._engine_cache.get(key) if self._engine_cache is not None else None
-            if compiled is None:
-                compiled = compile_cache(cache, backend=spec.name)
-                if self._engine_cache is not None:
-                    self._engine_cache[key] = compiled
-            engines[name] = compiled
-        self._engines = engines
+            key = self._cache_ids.get(name, name)
+            layout = self._layout_cache.get(key)
+            if layout is None:
+                layout = compile_cache(cache)
+                self._layout_cache[key] = layout
+            layouts[name] = layout
+        return layouts
 
     def _compile_arena(self) -> WorkloadArena:
         backend = "numpy" if numpy_available() else "python"
@@ -487,7 +457,9 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         )
         arena = self._arena_cache.get(arena_id) if self._arena_cache is not None else None
         if arena is None:
-            arena = compile_arena(self.queries, self._caches, backend=backend)
+            arena = compile_arena(
+                self.queries, self._caches, backend=backend, layouts=self._pooled_layouts()
+            )
             arena.arena_id = arena_id
             if self._arena_cache is not None:
                 self._arena_cache[arena_id] = arena
@@ -502,12 +474,8 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
 
     @property
     def engine_backend(self) -> str:
-        """The active evaluation backend: "numpy", "python", "scalar" or "arena"."""
-        if self._arena is not None:
-            return "arena"
-        if not self._engines:
-            return "scalar"
-        return next(iter(self._engines.values())).backend
+        """The active evaluation engine: "arena" or "scalar"."""
+        return "arena" if self._arena is not None else "scalar"
 
     def workload_cost(self, indexes: Sequence[Index]) -> float:
         """Total weighted cost of the workload under ``indexes``."""
@@ -526,15 +494,10 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         return super().per_query_costs(indexes)
 
     def memo_counters(self) -> Tuple[int, int]:
-        """Aggregate ``(hits, misses)`` of the active engines' index-set memos."""
-        hits = misses = 0
-        if self._arena is not None:
-            hits, misses = self._arena.memo_counters()
-        for compiled in self._engines.values():
-            engine_hits, engine_misses = compiled.memo_counters()
-            hits += engine_hits
-            misses += engine_misses
-        return hits, misses
+        """``(hits, misses)`` of the arena's index-set memo (0s under scalar)."""
+        if self._arena is None:
+            return 0, 0
+        return self._arena.memo_counters()
 
     @property
     def caches(self) -> Dict[str, InumCache]:
@@ -548,14 +511,8 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
     def _query_cost(self, query: Query, indexes: Sequence[Index]) -> float:
         if self._arena is not None:
             return self._arena.query_cost(query.name, indexes)
-        evaluator: Union[CompiledCostEngine, InumCostModel, None]
-        evaluator = self._engines.get(query.name) or self._models.get(query.name)
-        if evaluator is None:
-            raise AdvisorError(f"no cache was built for query {query.name!r}")
         relevant = [index for index in indexes if index.table in query.tables]
-        if isinstance(evaluator, CompiledCostEngine):
-            return evaluator.estimate(relevant)
-        return evaluator.estimate_with_indexes(relevant)
+        return self.model_for(query).estimate_with_indexes(relevant)
 
     def model_for(self, query: Query) -> InumCostModel:
         """The per-query scalar cost model (exposed for experiments)."""
@@ -563,10 +520,6 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         if model is None:
             raise AdvisorError(f"no cache was built for query {query.name!r}")
         return model
-
-    def engine_for(self, query: Query) -> Optional[CompiledCostEngine]:
-        """The per-query compiled engine (``None`` under the scalar engine)."""
-        return self._engines.get(query.name)
 
     @property
     def preparation_optimizer_calls(self) -> int:
@@ -586,15 +539,15 @@ class CostModelRequest:
 
     Factories registered in :data:`repro.api.registry.COST_MODELS` receive
     one of these.  Cache-backed factories (``uses_plan_caches = True``) get
-    ``caches`` pre-warmed by the session (with ``engine_cache``/``cache_ids``
-    for compiled-engine reuse); cold paths build from ``optimizer`` and
+    ``caches`` pre-warmed by the session (with ``layout_cache``/``cache_ids``
+    for compiled-layout reuse); cold paths build from ``optimizer`` and
     ``candidates`` themselves, optionally through ``store``/``call_cache``.
     """
 
     optimizer: Optimizer
     queries: Sequence[Query]
     candidates: Sequence[Index] = ()
-    engine: str = "auto"
+    engine: str = "arena"
     jobs: int = 1
     store: Optional[CacheStore] = None
     catalog_factory: Optional[Callable[[], Catalog]] = None
@@ -603,7 +556,8 @@ class CostModelRequest:
     caches: Optional[Dict[str, InumCache]] = None
     preparation_optimizer_calls: int = 0
     preparation_seconds: float = 0.0
-    engine_cache: Optional[Dict[Tuple[str, str], CompiledCostEngine]] = None
+    #: Shared pool of compiled per-cache layouts, keyed by cache id.
+    layout_cache: Optional[Dict[str, _CompiledLayout]] = None
     cache_ids: Dict[str, str] = field(default_factory=dict)
     cost_memo: Optional[Dict[tuple, float]] = None
     #: Per-statement execution-frequency weights (missing names default 1.0).
@@ -621,7 +575,7 @@ def _build_cache_backed(request: CostModelRequest, mode: str) -> WorkloadCostMod
             engine=request.engine,
             preparation_optimizer_calls=request.preparation_optimizer_calls,
             preparation_seconds=request.preparation_seconds,
-            engine_cache=request.engine_cache,
+            layout_cache=request.layout_cache,
             cache_ids=request.cache_ids,
             weights=request.weights,
             arena_cache=request.arena_cache,

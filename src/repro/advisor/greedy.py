@@ -7,8 +7,13 @@ indexes of earlier iterations.  It adds the index with most benefit to the
 winning set, and iterates till adding an index would violate the space
 constraint."
 
-This module keeps the paper's exhaustive loop; :mod:`repro.advisor.lazy_greedy`
-provides the CELF-style accelerated search that produces the same picks.
+This module keeps the paper's exhaustive loop as the reference: it scores
+every remaining candidate with a full ``workload_cost`` call per iteration.
+Production selection runs the CELF-style search of
+:mod:`repro.advisor.lazy_greedy`, which produces the same picks (asserted by
+the tests, and normalised against this loop by the selection benchmark).
+It also holds the shapes every selector reports through
+(:class:`SelectionStep`, :class:`SelectionStatistics`).
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ from typing import List, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
-from repro.advisor.benefit import IncrementalWorkloadEvaluator, WorkloadCostModel
+from repro.advisor.benefit import WorkloadCostModel
 from repro.obs.instruments import ILP_NODES, SELECTION_EVALUATIONS, SELECTION_SECONDS
-from repro.obs.trace import get_tracer
 from repro.util.errors import AdvisorError
 from repro.util.timing import timed
 
@@ -65,7 +69,7 @@ class SelectionStatistics:
     #: "solver" when branch and bound improved on it.
     incumbent_source: str = "n/a"
     #: Index-set memo lookups answered from / past the cost model's memos
-    #: during this run (0 for models without compiled-engine memos).
+    #: during this run (0 for models without an arena memo).
     memo_hits: int = 0
     memo_misses: int = 0
 
@@ -96,13 +100,12 @@ def memo_counters(cost_model) -> tuple:
 
 
 class GreedySelector:
-    """Greedy selection of indexes under a space budget.
+    """The paper's exhaustive greedy loop under a space budget (reference).
 
-    ``incremental=True`` (the default) answers each candidate's benefit
-    through an :class:`~repro.advisor.benefit.IncrementalWorkloadEvaluator`,
-    re-evaluating only the queries the candidate's table touches;
-    ``incremental=False`` keeps the original full ``workload_cost`` call per
-    candidate (the benchmarks' baseline).  Both produce identical picks.
+    Every iteration scores every remaining candidate with one full
+    :meth:`~repro.advisor.benefit.WorkloadCostModel.workload_cost` call and
+    keeps the first strict minimum.  It is not a registered selector: it is
+    the seed loop the lazy selector's step sequences are checked against.
     """
 
     def __init__(
@@ -111,7 +114,6 @@ class GreedySelector:
         cost_model: WorkloadCostModel,
         space_budget_bytes: int,
         min_relative_benefit: float = 1e-4,
-        incremental: bool = True,
     ) -> None:
         if space_budget_bytes <= 0:
             raise AdvisorError(f"space budget must be positive, got {space_budget_bytes}")
@@ -119,17 +121,13 @@ class GreedySelector:
         self._cost_model = cost_model
         self._budget = space_budget_bytes
         self._min_relative_benefit = min_relative_benefit
-        self._incremental = incremental
         #: Statistics of the most recent :meth:`select` run.
         self.statistics = SelectionStatistics()
 
     def select(self, candidates: Sequence[Index]) -> List[SelectionStep]:
         """Run the greedy loop and return the chosen indexes in pick order."""
-        with get_tracer().span(
-            "select.exhaustive", candidates=len(candidates)
-        ), timed() as timer:
-            steps = self._select(candidates, timer)
-        return steps
+        with timed() as timer:
+            return self._select(candidates, timer)
 
     def _select(self, candidates: Sequence[Index], timer: timed) -> List[SelectionStep]:
         stats = SelectionStatistics()
@@ -141,13 +139,7 @@ class GreedySelector:
         winners: List[Index] = []
         steps: List[SelectionStep] = []
         used_bytes = 0
-        evaluator = (
-            IncrementalWorkloadEvaluator(self._cost_model) if self._incremental else None
-        )
-        batched = evaluator is not None and evaluator.supports_frontier
-        current_cost = (
-            evaluator.total if evaluator is not None else self._cost_model.workload_cost(winners)
-        )
+        current_cost = self._cost_model.workload_cost(winners)
         baseline_cost = current_cost
 
         while remaining:
@@ -165,25 +157,12 @@ class GreedySelector:
 
             best_index: Optional[Index] = None
             best_cost = current_cost
-            if batched and remaining:
-                # One arena call scores the whole frontier; the scan below
-                # keeps the strict `<` pick order of the per-candidate loop.
-                costs = evaluator.frontier(winners, remaining)
-                stats.candidate_evaluations += len(remaining)
-                for candidate, cost in zip(remaining, costs):
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_index = candidate
-            else:
-                for candidate in remaining:
-                    if evaluator is not None:
-                        cost = evaluator.cost_with(winners, candidate)
-                    else:
-                        cost = self._cost_model.workload_cost(winners + [candidate])
-                    stats.candidate_evaluations += 1
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_index = candidate
+            for candidate in remaining:
+                cost = self._cost_model.workload_cost(winners + [candidate])
+                stats.candidate_evaluations += 1
+                if cost < best_cost:
+                    best_cost = cost
+                    best_index = candidate
 
             if best_index is None:
                 break
@@ -194,8 +173,6 @@ class GreedySelector:
             winners.append(best_index)
             remaining = [c for c in remaining if c.key != best_index.key]
             used_bytes += self._catalog.index_size_bytes(best_index)
-            if evaluator is not None:
-                evaluator.commit(winners, best_index)
             steps.append(
                 SelectionStep(
                     chosen=best_index,
@@ -211,16 +188,4 @@ class GreedySelector:
         memo_after = memo_counters(self._cost_model)
         stats.memo_hits = memo_after[0] - memo_before[0]
         stats.memo_misses = memo_after[1] - memo_before[1]
-        stats.publish("exhaustive")
         return steps
-
-
-def build_exhaustive_selector(
-    catalog: Catalog,
-    cost_model: WorkloadCostModel,
-    space_budget_bytes: int,
-    min_relative_benefit: float = 1e-4,
-) -> GreedySelector:
-    """Factory behind the ``"exhaustive"`` entry of
-    :data:`repro.api.registry.SELECTORS` (the paper's literal loop)."""
-    return GreedySelector(catalog, cost_model, space_budget_bytes, min_relative_benefit)

@@ -28,10 +28,10 @@ update-aware machinery (:class:`~repro.optimizer.maintenance
 
 For **integral** ``x`` the inner (y, z) sub-problem is trivially integral --
 choose the cheapest feasible plan, serve each class with the cheapest active
-method -- which is the same evaluation the compiled engines perform.  The
+method -- which is the same evaluation the workload arena performs.  The
 formulation therefore stores the program as dense per-statement matrices
 (the (entries x slot classes x access methods) layout exported by
-:func:`repro.inum.compiled.export_layout`) and answers :meth:`cost` with
+:func:`repro.inum.compiled.compile_cache`) and answers :meth:`cost` with
 that arithmetic; the explicit variable/constraint counts of the BIP are
 exposed through :class:`FormulationStatistics` for reporting.
 
@@ -48,7 +48,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.inum.cache import InumCache
-from repro.inum.compiled import export_layout
+from repro.inum.compiled import compile_cache
 from repro.util.errors import AdvisorError
 
 try:  # numpy accelerates the relaxation bounds; everything works without it.
@@ -131,7 +131,7 @@ class StatementProgram:
         cache: InumCache,
         pool: Sequence[Index],
     ) -> None:
-        layout = export_layout(cache)
+        layout = compile_cache(cache)
         key_to_position: Dict[Tuple[str, Tuple[str, ...]], int] = {
             candidate.key: position for position, candidate in enumerate(pool)
         }
@@ -275,8 +275,8 @@ class StatementProgram:
     ) -> List[float]:
         """Per-entry plan costs for given per-class minima (+inf = infeasible).
 
-        Deliberately the same sparse summation the pure-Python compiled
-        engine performs, so the formulation's arithmetic matches the
+        Deliberately the same sparse summation the pure-Python arena
+        backend performs, so the formulation's arithmetic matches the
         engines' within their documented 1e-9 agreement.
         """
         costs = []

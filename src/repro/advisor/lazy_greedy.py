@@ -1,13 +1,22 @@
-"""CELF-style lazy greedy selection (same picks, far fewer evaluations).
+"""CELF-style lazy greedy selection: the production greedy search.
 
-The exhaustive loop re-evaluates *every* remaining candidate in *every*
-iteration, although a candidate's benefit only shrinks as winners accumulate
-(adding an index can only lower the cost the next index is compared against
--- the diminishing-returns property greedy index selection relies on).  The
-lazy variant (Leskovec et al.'s CELF applied to index selection) exploits
-that: it keeps candidates in a max-heap of *stale* benefit upper bounds and
-only re-evaluates the top of the heap until the freshly evaluated candidate
-stays on top, at which point no stale bound below it can beat it.
+The paper's exhaustive loop (kept as the reference
+:class:`~repro.advisor.greedy.GreedySelector`) re-evaluates *every*
+remaining candidate in *every* iteration, although a candidate's benefit only
+shrinks as winners accumulate (adding an index can only lower the cost the
+next index is compared against -- the diminishing-returns property greedy
+index selection relies on).  This selector has two paths:
+
+* **Over the workload arena** (the default engine) it re-scores the whole
+  remaining frontier per round with one batched
+  :meth:`~repro.advisor.benefit.IncrementalWorkloadEvaluator.frontier` call
+  -- no stale bounds, so the picks match the exhaustive scan by
+  construction.
+* **Over any other model** (the scalar reference engine, the optimizer-backed
+  oracle) it runs Leskovec et al.'s CELF: candidates sit in a max-heap of
+  *stale* benefit upper bounds and only the top is re-evaluated until the
+  freshly evaluated candidate stays on top, at which point no stale bound
+  below it can beat it.
 
 Tie-breaking mirrors the exhaustive scan: the heap orders equal benefits by
 original candidate position, so among exact ties the earliest candidate wins
@@ -15,20 +24,19 @@ original candidate position, so among exact ties the earliest candidate wins
 Candidates that no longer fit the remaining space budget are dropped
 permanently when popped, and the loop stops on the same
 ``min_relative_benefit`` condition, so the produced
-:class:`~repro.advisor.greedy.SelectionStep` sequence is identical to
-:class:`~repro.advisor.greedy.GreedySelector`'s (asserted by the tests and
-the selection benchmark).
+:class:`~repro.advisor.greedy.SelectionStep` sequence is identical to the
+reference loop's (asserted by the tests and the selection benchmark).
 
-The identity guarantee is exactly as strong as the diminishing-returns
-assumption.  The INUM cost model is not provably submodular: a cached plan
-whose slots need orders on *two* tables stays infeasible until covering
-indexes exist on both, so picking the first index can *grow* the second's
-benefit -- a growth a stale upper bound never advertises, which could make
-the lazy loop settle for a different (never budget-violating, possibly
-slightly worse) set than the exhaustive scan.  No such interaction appears
-in the reproduction's workloads (the per-engine identity assertions in the
-tier-1 tests and the benchmark would catch one); ``--selector exhaustive``
-remains the reference loop when in doubt.
+The heap path's identity guarantee is exactly as strong as the
+diminishing-returns assumption.  The INUM cost model is not provably
+submodular: a cached plan whose slots need orders on *two* tables stays
+infeasible until covering indexes exist on both, so picking the first index
+can *grow* the second's benefit -- a growth a stale upper bound never
+advertises, which could make the heap settle for a different (never
+budget-violating, possibly slightly worse) set than the exhaustive scan.  No
+such interaction appears in the reproduction's workloads (the identity
+assertions in the tier-1 tests and the benchmark would catch one), and the
+arena path is immune by construction.
 """
 
 from __future__ import annotations
@@ -48,8 +56,8 @@ from repro.util.timing import timed
 class LazyGreedySelector:
     """Lazy (CELF) greedy selection of indexes under a space budget.
 
-    Drop-in replacement for :class:`~repro.advisor.greedy.GreedySelector`:
-    same constructor, same ``select`` contract, identical picks.
+    Same constructor, ``select`` contract and picks as the reference
+    :class:`~repro.advisor.greedy.GreedySelector`.
     """
 
     def __init__(
@@ -112,7 +120,7 @@ class LazyGreedySelector:
         # evaluated workload cost, candidate).  A stamp equal to the current
         # iteration means the bound is exact for the current winner set.
         # Duplicate (table, columns) keys are interchangeable for selection,
-        # so only the first occurrence enters the heap -- the exhaustive loop
+        # so only the first occurrence enters the heap -- the reference loop
         # removes all duplicates of a pick at once, with the same effect.
         iteration = 1
         heap: List[Tuple[float, int, int, float, Index]] = []

@@ -1,7 +1,7 @@
 """Plugin registries for the tuning service's pluggable components.
 
 The advisor's behaviour used to be selected by string literals scattered
-across ``AdvisorOptions`` and the CLI ("pinum", "lazy", "auto", ...), each
+across ``AdvisorOptions`` and the CLI ("pinum", "lazy", "arena", ...), each
 validated -- or not -- at a different layer, some only after minutes of
 cache construction.  This module centralises that dispatch into small named
 registries:
@@ -19,8 +19,8 @@ registries:
   when the signature allows it -- the ``"ilp"`` selector reads its
   ``ilp_gap``/``ilp_time_limit`` that way.
 * :data:`ENGINES` -- cache evaluation engines.  An entry is an
-  :class:`EngineSpec` describing whether caches are compiled for it and how
-  to check its availability.
+  :class:`EngineSpec` saying whether the engine evaluates through the fused
+  workload arena or the scalar per-slot walk.
 * :data:`CACHE_BUILDERS` -- per-query plan-cache builders.  An entry is a
   class constructed as ``builder(optimizer, options=None, call_cache=None)``
   with a ``build_cache(query, candidate_indexes)`` method.
@@ -146,29 +146,15 @@ class Registry:
 class EngineSpec:
     """Description of one cache evaluation engine.
 
-    ``compiled`` engines run through :func:`repro.inum.compiled.compile_cache`
-    with ``backend=name``; the non-compiled ``"scalar"`` engine keeps the
-    original per-slot Python walk.  ``fused`` engines skip per-query
-    compilation entirely and evaluate through one
-    :class:`~repro.inum.arena.WorkloadArena` spanning the whole workload.
-    ``availability`` (when set) returns an error message if the engine cannot
-    run in this process (e.g. the numpy backend without numpy installed) and
-    ``None`` when it can.
+    ``fused`` engines evaluate through one
+    :class:`~repro.inum.arena.WorkloadArena` spanning the whole workload
+    (the production path); the non-fused ``"scalar"`` engine keeps the
+    original per-slot Python walk, the reference oracle.
     """
 
     name: str
-    compiled: bool = True
-    availability: Optional[Callable[[], Optional[str]]] = None
     #: Whether the engine evaluates through a fused workload arena.
     fused: bool = False
-
-    def ensure_available(self) -> None:
-        """Raise :class:`AdvisorError` when the engine cannot run here."""
-        if self.availability is None:
-            return
-        problem = self.availability()
-        if problem is not None:
-            raise AdvisorError(problem)
 
 
 #: Benefit oracles for the greedy search, keyed by ``AdvisorOptions.cost_model``.
@@ -181,17 +167,13 @@ COST_MODELS = Registry("cost model", builtins={
 #: Index-selection search loops, keyed by ``AdvisorOptions.selector``.
 SELECTORS = Registry("selector", builtins={
     "lazy": "repro.advisor.lazy_greedy:build_lazy_selector",
-    "exhaustive": "repro.advisor.greedy:build_exhaustive_selector",
     "ilp": "repro.advisor.ilp.selector:build_ilp_selector",
 })
 
 #: Cache evaluation engines, keyed by ``AdvisorOptions.engine``.
 ENGINES = Registry("evaluation engine", builtins={
-    "auto": "repro.advisor.benefit:AUTO_ENGINE",
-    "numpy": "repro.advisor.benefit:NUMPY_ENGINE",
-    "python": "repro.advisor.benefit:PYTHON_ENGINE",
-    "scalar": "repro.advisor.benefit:SCALAR_ENGINE",
     "arena": "repro.advisor.benefit:ARENA_ENGINE",
+    "scalar": "repro.advisor.benefit:SCALAR_ENGINE",
 })
 
 #: Per-query plan-cache builders, keyed by ``WorkloadBuilderOptions.builder``.

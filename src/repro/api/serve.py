@@ -18,7 +18,7 @@ explicit ``shutdown``.
 
 The frontend drives one long-lived :class:`~repro.api.session.TuningSession`
 per catalog: sessions are created on first use, seeded with the catalog's
-built-in workload, and keep their caches, call cache and compiled engines
+built-in workload, and keep their caches, call cache and compiled layouts
 warm across requests -- so the second ``recommend`` against a catalog costs
 selection only.  A request may address a non-default catalog with a
 top-level ``"catalog"`` (and optional ``"seed"``) field.

@@ -14,7 +14,7 @@ What changes is the state model:
   that names its session can reconnect to warm state after a dropped
   connection.
 * **one shared read-only tier** (:class:`~repro.api.tier.SharedCacheTier`)
-  under every session: plan caches, compiled engine layouts, what-if
+  under every session: plan caches, compiled layouts, what-if
   results and parsed store pages are built once process-wide and adopted by
   later sessions (their ``recommend`` reports ``caches_shared`` instead of
   ``caches_built``).
@@ -186,7 +186,8 @@ class TuningServer:
 
     @property
     def session_count(self) -> int:
-        """Distinct ``session_id`` values served so far."""
+        """Sessions currently held: every named ``session_id`` plus the
+        private session of each open anonymous connection."""
         return len(self._frontends)
 
     @property
@@ -255,6 +256,10 @@ class TuningServer:
                 await writer.wait_closed()
             except (ConnectionError, BrokenPipeError):  # pragma: no cover
                 pass
+            # A private session's name is never handed out again, so it is
+            # freed with its connection; named sessions outlive it.
+            self._frontends.pop(default_session, None)
+            self._locks.pop(default_session, None)
             self._connections_active -= 1
             SERVE_CONNECTIONS.dec()
             if task is not None:

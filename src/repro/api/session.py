@@ -10,8 +10,8 @@ its whole lifetime:
 * a memoizing :class:`~repro.optimizer.whatif.WhatIfCallCache` shared by
   every cache build and what-if probe the session performs,
 * a pool of per-query plan caches keyed by (query fingerprint, builder,
-  candidate-set fingerprint) -- plus the compiled evaluation engines built
-  from them -- reused across requests, and
+  candidate-set fingerprint) -- plus their compiled layouts and the
+  workload arenas stacked from them -- reused across requests, and
 * an optional persistent :class:`~repro.inum.serialization.CacheStore` so
   the pool survives the process.
 
@@ -22,7 +22,7 @@ query.  The workload is mutable -- :meth:`add_queries`,
 :meth:`remove_queries`, :meth:`set_budget` -- and re-tuning after a mutation
 is *incremental*: only queries whose (query, builder, candidate-set) key is
 new get caches built; everything else is answered from the session pool or
-the persistent store, and selection re-runs on the already-compiled engines.
+the persistent store, and selection re-runs on the already-compiled layouts.
 
 Two candidate policies (pluggable through
 :data:`~repro.api.registry.CANDIDATE_POLICIES`) control the delta behaviour:
@@ -52,7 +52,7 @@ from repro.advisor.benefit import CostModelRequest
 from repro.advisor.candidates import CandidateGenerator, prune_write_dominated
 from repro.advisor.greedy import SelectionStatistics
 from repro.api.registry import CACHE_BUILDERS, CANDIDATE_POLICIES, COST_MODELS, SELECTORS
-from repro.api.tier import SharedCacheTier, TierNamespace
+from repro.api.tier import MAX_POOLED_ARENAS, SharedCacheTier, TierNamespace
 from repro.api.requests import (
     UNSET,
     EvaluateRequest,
@@ -279,14 +279,9 @@ class TuningSession:
 
     #: Soft cap on pooled plan caches.  When an insert pushes the pool past
     #: this, entries not referenced by the current request are evicted
-    #: (oldest first) along with their compiled engines, so a long-lived
+    #: (oldest first) along with their compiled layouts, so a long-lived
     #: serve process cannot grow without bound.
     DEFAULT_MAX_POOLED_CACHES = 512
-
-    #: Soft cap on pooled fused arenas.  An arena spans the whole workload
-    #: (its fingerprint folds every cache id), so a mutating session churns
-    #: fingerprints fast; recompiling one from warm caches is milliseconds.
-    MAX_POOLED_ARENAS = 8
 
     def __init__(
         self,
@@ -324,12 +319,14 @@ class TuningSession:
         self._queries: Dict[str, Statement] = {}
         self._max_pooled_caches = max(1, max_pooled_caches)
         self._cache_pool: Dict[CacheKey, InumCache] = {}
-        self._engine_pool = (
+        #: Compiled per-cache layouts, keyed by cache id.  Tier-backed
+        #: sessions adopt layouts other tenants compiled, so an arena over a
+        #: new workload restacks shared layouts instead of recompiling them.
+        self._layout_pool = (
             self._tier_ns.engine_map() if self._tier_ns is not None else {}
         )
-        #: Fused workload arenas, keyed by arena fingerprint.  Tier-backed
-        #: sessions adopt arenas other tenants compiled (the namespace is
-        #: keyed by catalog fingerprint, like the engine map).
+        #: Fused workload arenas, keyed by arena fingerprint (shared through
+        #: the tier the same way).
         self._arena_pool = (
             self._tier_ns.arena_map() if self._tier_ns is not None else {}
         )
@@ -526,7 +523,7 @@ class TuningSession:
 
         The budget only affects selection, never the caches, so no rebuild
         happens -- the next :meth:`recommend` re-runs selection on the warm
-        engines.
+        layouts.
         """
         validate_tuning_limits(space_budget_bytes=space_budget_bytes)
         self._options = dataclasses.replace(
@@ -898,10 +895,10 @@ class TuningSession:
         return cache
 
     def clear_caches(self) -> int:
-        """Drop every warm cache and compiled engine; returns the cache count."""
+        """Drop every warm cache, layout and arena; returns the cache count."""
         dropped = len(self._cache_pool)
         self._cache_pool.clear()
-        self._engine_pool.clear()
+        self._layout_pool.clear()
         self._arena_pool.clear()
         self._invalidate_model()
         return dropped
@@ -987,8 +984,8 @@ class TuningSession:
         self._model_signature = None
 
     def _prune_pools(self, active_keys: set) -> None:
-        """Bound the cache/engine/arena pools, never evicting ``active_keys``."""
-        while len(self._arena_pool) > self.MAX_POOLED_ARENAS:
+        """Bound the cache/layout/arena pools, never evicting ``active_keys``."""
+        while len(self._arena_pool) > MAX_POOLED_ARENAS:
             # Oldest first; a tier-backed overlay deletion never evicts the
             # namespace copy other sessions adopted.
             del self._arena_pool[next(iter(self._arena_pool))]
@@ -1002,13 +999,12 @@ class TuningSession:
         surviving = {
             ":".join(str(part) for part in key) for key in self._cache_pool
         }
-        for engine_key in list(self._engine_pool):
-            # DML engine ids carry a '|maint:<digest>' suffix on top of the
+        for layout_id in list(self._layout_pool):
+            # DML layout ids carry a '|maint:<digest>' suffix on top of the
             # cache id (see _apply_maintenance); they survive with their
             # cache.
-            base_id = engine_key[0].split("|maint:", 1)[0]
-            if base_id not in surviving:
-                del self._engine_pool[engine_key]
+            if layout_id.split("|maint:", 1)[0] not in surviving:
+                del self._layout_pool[layout_id]
 
     def _ensure_caches(
         self,
@@ -1022,7 +1018,7 @@ class TuningSession:
         Only queries whose cache key is missing from the pool are routed
         through the :class:`WorkloadCacheBuilder` (which itself consults the
         persistent store before building).  ``ids`` maps query names to
-        stable cache identities for the compiled-engine pool.
+        stable cache identities for the compiled-layout pool.
         """
         keys: Dict[str, CacheKey] = {
             query.name: self._cache_key(query, builder, plan.per_query[query.name])
@@ -1100,9 +1096,9 @@ class TuningSession:
         into the cache identity would rebuild warm DML caches on every pool
         perturbation.  Profiles are cheap catalog arithmetic (memoized by
         the session's what-if layer), so they are recomputed here, outside
-        the cache key; the profile digest is folded into the compiled-
-        engine id instead, so engines compiled for an older pool are never
-        reused with stale maintenance columns.
+        the cache key; the profile digest is folded into the cache id
+        instead, so arenas stacked for an older pool are never reused with
+        stale maintenance rows.
         """
         for statement in workload:
             if not statement.is_dml:
@@ -1118,13 +1114,13 @@ class TuningSession:
             base_id = cache_ids[statement.name]
             new_id = f"{base_id}|maint:{profile.digest()}"
             cache_ids[statement.name] = new_id
-            # Engines compiled for an earlier pool's profile can never be
+            # Layouts pooled under an earlier pool's profile can never be
             # asked for again (their id embeds the old digest); drop them so
-            # a long-lived session's engine pool stays one-per-cache.
+            # a long-lived session's layout pool stays one-per-cache.
             prefix = f"{base_id}|maint:"
-            for engine_key in list(self._engine_pool):
-                if engine_key[0].startswith(prefix) and engine_key[0] != new_id:
-                    del self._engine_pool[engine_key]
+            for layout_id in list(self._layout_pool):
+                if layout_id.startswith(prefix) and layout_id != new_id:
+                    del self._layout_pool[layout_id]
 
     def _build_cost_model(
         self, workload: Sequence[Query], plan: CandidatePlan, options: AdvisorOptions
@@ -1145,7 +1141,7 @@ class TuningSession:
                 caches=caches,
                 preparation_optimizer_calls=calls,
                 preparation_seconds=seconds,
-                engine_cache=self._engine_pool,
+                layout_cache=self._layout_pool,
                 cache_ids=cache_ids,
                 weights=options.weight_map(),
                 arena_cache=self._arena_pool,

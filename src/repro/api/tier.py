@@ -9,8 +9,10 @@ compiled layouts.  :class:`SharedCacheTier` is that process-wide tier:
 * **per-catalog namespaces** keyed by catalog *fingerprint* (schema,
   statistics, permanent indexes), so sessions over equal-but-distinct
   :class:`~repro.catalog.catalog.Catalog` objects still share,
-* **plan caches** (:class:`~repro.inum.cache.InumCache`), **compiled engine
-  layouts** and **what-if optimizer results** published copy-on-write:
+* **plan caches** (:class:`~repro.inum.cache.InumCache`), their **compiled
+  layouts** (:func:`~repro.inum.compiled.compile_cache`, keyed by cache id),
+  **workload arenas** and **what-if optimizer results** published
+  copy-on-write:
   readers see immutable snapshot dicts that are replaced wholesale under a
   single-writer lock, never mutated in place,
 * **persistent-store pages**: one :class:`~repro.inum.serialization.PageCache`
@@ -26,11 +28,17 @@ its pool-specific maintenance profile (see
 object stays pristine.
 
 Task-safety model (CPython): tier reads are lock-free against published
-snapshots; promotions serialize on a per-namespace lock.  Compiled engines
-are shared across sessions because evaluation is read-only up to their
-internal :class:`~repro.inum.compiled.IndexSetMemo`, whose entries are
-deterministic functions of the key -- a racing double-compute stores the
-same value twice, never a wrong one.
+snapshots; promotions serialize on a per-namespace lock.  Compiled layouts
+are immutable after construction; arenas are shared across sessions because
+evaluation is read-only up to their internal
+:class:`~repro.inum.compiled.IndexSetMemo`, whose entries are deterministic
+functions of the key -- a racing double-compute stores the same value twice,
+never a wrong one.
+
+Both artifact maps are bounded: layouts by the plan-cache bound (one layout
+per cache), arenas by :data:`MAX_POOLED_ARENAS` -- an arena spans a whole
+workload, so a server whose sessions each tune a different workload would
+otherwise keep every one of them.
 """
 
 from __future__ import annotations
@@ -48,6 +56,12 @@ from repro.util.fingerprint import catalog_fingerprint
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.catalog.catalog import Catalog
     from repro.inum.cache import InumCache
+
+#: Cap on fused workload arenas, per session pool and per tier namespace.
+#: An arena's fingerprint folds every cache id of its workload, so mutating
+#: workloads churn fingerprints fast; recompiling one from pooled layouts
+#: takes milliseconds.
+MAX_POOLED_ARENAS = 8
 
 # Pre-resolved registry children: tier lookups sit on the recommend hot path,
 # so the label resolution happens once at import, not per call.
@@ -67,8 +81,9 @@ class TierStatistics:
 
     ``cache_hits`` are session lookups answered with an already-promoted
     plan cache (each one is a whole cache build some tenant did not pay);
-    ``cache_promotions`` count first-time publications.  The engine and
-    store-page counters follow the same shape.
+    ``cache_promotions`` count first-time publications.  The ``engine_*``
+    counters (compiled per-cache layouts) and ``arena_*`` counters follow
+    the same shape.
     """
 
     cache_hits: int = 0
@@ -102,27 +117,29 @@ class TierNamespace:
     session-pool hit.
     """
 
-    def __init__(
-        self,
-        fingerprint: str,
-        *,
-        max_caches: int = 2048,
-        max_engines: int = 2048,
-    ) -> None:
+    def __init__(self, fingerprint: str, *, max_caches: int = 2048) -> None:
         self.fingerprint = fingerprint
         self.whatif = SharedWhatIfResults()
         self.statistics = TierStatistics()
         self._lock = threading.Lock()
         self._max_caches = max(1, max_caches)
-        self._max_engines = max(1, max_engines)
         #: Published snapshots; replaced wholesale under ``_lock``.
         self._caches: Dict[tuple, "InumCache"] = {}
-        self._engines: Dict[Tuple[str, str], object] = {}
+        #: Compiled per-cache layouts, keyed by the session's cache id.
+        self._engines: Dict[str, object] = {}
         #: Fused workload arenas, keyed by the arena fingerprint
-        #: (:func:`repro.inum.arena.arena_fingerprint`).  Same sharing rules
-        #: as compiled engines: evaluation is read-only up to the
-        #: deterministic internal memo.
+        #: (:func:`repro.inum.arena.arena_fingerprint`).
         self._arenas: Dict[str, object] = {}
+
+    @staticmethod
+    def _published(snapshot: Dict, key: object, value: object, bound: int) -> Dict:
+        """``snapshot`` plus ``key``, oldest entries dropped past ``bound``."""
+        merged = dict(snapshot)
+        merged[key] = value
+        if len(merged) > bound:
+            for stale in list(merged)[: len(merged) - bound]:
+                del merged[stale]
+        return merged
 
     # -- plan caches -------------------------------------------------------
 
@@ -163,37 +180,34 @@ class TierNamespace:
         """Plan caches currently published in this namespace."""
         return len(self._caches)
 
-    # -- compiled engines --------------------------------------------------
+    # -- compiled layouts --------------------------------------------------
 
-    def lookup_engine(self, key: Tuple[str, str]) -> Optional[object]:
-        """The shared compiled engine under ``key`` (lock-free)."""
-        engine = self._engines.get(key)
-        if engine is not None:
+    def lookup_engine(self, cache_id: str) -> Optional[object]:
+        """The shared compiled layout of ``cache_id`` (lock-free)."""
+        layout = self._engines.get(cache_id)
+        if layout is not None:
             self.statistics.engine_hits += 1
-        _LOOKUP[("engine", engine is not None)].inc()
-        return engine
+        _LOOKUP[("engine", layout is not None)].inc()
+        return layout
 
-    def promote_engine(self, key: Tuple[str, str], engine: object) -> None:
-        """Publish one compiled engine copy-on-write (first promotion wins)."""
+    def promote_engine(self, cache_id: str, layout: object) -> None:
+        """Publish one compiled layout copy-on-write (first promotion wins)."""
         with self._lock:
-            if key in self._engines:
+            if cache_id in self._engines:
                 return
-            merged = dict(self._engines)
-            merged[key] = engine
-            if len(merged) > self._max_engines:
-                for stale in list(merged)[: len(merged) - self._max_engines]:
-                    del merged[stale]
-            self._engines = merged
+            self._engines = self._published(
+                self._engines, cache_id, layout, self._max_caches
+            )
             self.statistics.engine_promotions += 1
             TIER_PROMOTIONS.labels(kind="engine").inc()
 
     @property
     def engine_count(self) -> int:
-        """Compiled engines currently published in this namespace."""
+        """Compiled layouts currently published in this namespace."""
         return len(self._engines)
 
     def engine_map(self) -> "SharedEngineMap":
-        """A per-session engine-pool view over this namespace."""
+        """A per-session layout-pool view over this namespace."""
         return SharedEngineMap(self)
 
     # -- workload arenas ---------------------------------------------------
@@ -211,12 +225,9 @@ class TierNamespace:
         with self._lock:
             if arena_id in self._arenas:
                 return
-            merged = dict(self._arenas)
-            merged[arena_id] = arena
-            if len(merged) > self._max_engines:
-                for stale in list(merged)[: len(merged) - self._max_engines]:
-                    del merged[stale]
-            self._arenas = merged
+            self._arenas = self._published(
+                self._arenas, arena_id, arena, MAX_POOLED_ARENAS
+            )
             self.statistics.arena_promotions += 1
             TIER_PROMOTIONS.labels(kind="arena").inc()
 
@@ -231,7 +242,7 @@ class TierNamespace:
 
 
 class SharedEngineMap:
-    """One session's view of a shared artifact pool (engines or arenas).
+    """One session's view of a shared artifact pool (layouts or arenas).
 
     Implements the dict subset the session and
     :class:`~repro.advisor.benefit.CacheBackedWorkloadCostModel` use: reads
@@ -241,9 +252,9 @@ class SharedEngineMap:
     one session pruning its pool can never evict state other sessions rely
     on (the namespace applies its own copy-on-write bound instead).
 
-    ``kind="engine"`` (the default) views the compiled-engine pool keyed by
-    ``(cache id, backend)``; ``kind="arena"`` views the fused workload-arena
-    pool keyed by arena fingerprint strings.
+    ``kind="engine"`` (the default) views the compiled-layout pool keyed by
+    cache id; ``kind="arena"`` views the fused workload-arena pool keyed by
+    arena fingerprint strings.
     """
 
     def __init__(self, namespace: TierNamespace, kind: str = "engine") -> None:
@@ -296,21 +307,16 @@ class SharedCacheTier:
     Hand one instance to every :class:`~repro.api.session.TuningSession`
     (``shared_tier=``) -- or let :class:`~repro.api.server.TuningServer` do
     it -- and N sessions over the same catalog share one copy of the plan
-    caches, compiled engine layouts, what-if results and parsed store pages.
+    caches, compiled layouts, workload arenas, what-if results and parsed
+    store pages.
     The first session pays each build; every later session's
     ``recommend`` is answered with 0 cache builds (reported as
     ``caches_shared`` in its statistics).
     """
 
-    def __init__(
-        self,
-        *,
-        max_caches_per_catalog: int = 2048,
-        max_engines_per_catalog: int = 2048,
-    ) -> None:
+    def __init__(self, *, max_caches_per_catalog: int = 2048) -> None:
         self._lock = threading.Lock()
         self._max_caches = max_caches_per_catalog
-        self._max_engines = max_engines_per_catalog
         self._namespaces: Dict[str, TierNamespace] = {}
         #: One parsed-page cache shared by every session's persistent store.
         self.page_cache = PageCache()
@@ -324,11 +330,7 @@ class SharedCacheTier:
             with self._lock:
                 namespace = self._namespaces.get(fingerprint)
                 if namespace is None:
-                    namespace = TierNamespace(
-                        fingerprint,
-                        max_caches=self._max_caches,
-                        max_engines=self._max_engines,
-                    )
+                    namespace = TierNamespace(fingerprint, max_caches=self._max_caches)
                     self._namespaces[fingerprint] = namespace
         namespace.statistics.sessions_attached += 1
         return namespace

@@ -7,11 +7,11 @@ implementation:
 
 * ``explain``        -- optimize a SQL query and print the plan,
 * ``recommend``      -- run the index advisor over a workload
-  (``--selector`` picks the exhaustive greedy loop, the CELF-style lazy
-  loop or the ILP solver -- ``--selector ilp`` proves optimality within
+  (``--selector`` picks the CELF-style lazy greedy loop or the ILP
+  solver -- ``--selector ilp`` proves optimality within
   ``--gap``/``--time-limit``; ``--engine`` picks the cache evaluation
-  engine -- compiled/vectorized by default, ``scalar`` for the original
-  per-slot walk),
+  engine -- the fused workload arena by default, ``scalar`` for the
+  original per-slot walk),
 * ``cache``          -- build the INUM/PINUM plan cache for a query and
   report its statistics (optionally saving it to JSON),
 * ``cache-workload`` -- build the plan caches of a whole workload at once
@@ -528,11 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="process-pool width for the per-query cache builds")
         sub.add_argument("--cache-dir",
                          help="persistent cache-store directory reused across runs")
-        sub.add_argument("--selector", choices=["exhaustive", "lazy", "ilp"],
+        sub.add_argument("--selector", choices=["lazy", "ilp"],
                          default="lazy",
-                         help="index-selection search: the paper's exhaustive greedy "
-                              "loop, the CELF-style lazy loop (identical picks, far "
-                              "fewer evaluations) or the CoPhy-style ILP solver "
+                         help="index-selection search: the CELF-style lazy greedy "
+                              "loop (the paper's greedy picks, far fewer "
+                              "evaluations) or the CoPhy-style ILP solver "
                               "(provably optimal within --gap/--time-limit, never "
                               "worse than lazy)")
         sub.add_argument("--gap", type=float, default=None, metavar="FRACTION",
@@ -542,12 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="wall-clock budget for the ilp solver; on expiry the "
                               "best selection found so far is returned with its "
                               "proven gap (default 60)")
-        sub.add_argument("--engine",
-                         choices=["auto", "arena", "numpy", "python", "scalar"],
-                         default="auto",
-                         help="cache evaluation engine: compiled (numpy-vectorized "
-                              "when available), the fused workload arena, or the "
-                              "original scalar walk")
+        sub.add_argument("--engine", choices=["arena", "scalar"], default="arena",
+                         help="cache evaluation engine: the fused workload arena "
+                              "(numpy-vectorized when available) or the original "
+                              "scalar walk")
         sub.add_argument("--candidate-policy", choices=["workload", "per_query"],
                          default="workload",
                          help="candidate generation: one workload-wide pool (the "

@@ -1,10 +1,8 @@
-"""One-matmul workload evaluation: fuse per-query compiled caches into an arena.
+"""One-matmul workload evaluation: the advisor's production evaluation engine.
 
-:mod:`repro.inum.compiled` made evaluating *one* query's cache a handful of
-array operations, but selection still loops over the workload in Python --
-one compiled-engine call per (query, candidate) pair, and at 120 candidates
-the per-call numpy dispatch overhead dominates selection wall time.  This
-module fuses every compiled per-query layout into a single *workload arena*:
+:func:`repro.inum.compiled.compile_cache` digests *one* query's cache into a
+dense layout; this module fuses the workload's layouts into a single
+*workload arena*:
 
 * one **global access-method column** per distinct ``(table, index key)``
   collected by *any* query (heaps included), so a candidate index set maps to
@@ -27,25 +25,19 @@ queries`` Python round trips.  The arena is weight-agnostic: callers pass
 their execution-frequency weight vector, so one arena serves every weight
 sweep over the same caches.
 
-Backends mirror :func:`repro.inum.compiled.compile_cache`: numpy when
-installed, a pure-Python fallback otherwise, both within 1e-9 of the
-per-query engines (asserted by the property tests).  The numpy buffers can
-additionally be placed in :mod:`multiprocessing.shared_memory` via
-:func:`share_arena`/:func:`attach_arena` so builder workers and the
-concurrent server's tier namespaces map one copy (refcounted; the owner
-unlinks on the last :func:`release_arena`).
+Two backends evaluate the same fused layout: numpy when installed, a
+pure-Python fallback otherwise; both stay within 1e-9 of the scalar
+:class:`~repro.inum.cost_estimation.InumCostModel`, the reference oracle
+(asserted by the property and equivalence tests).
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
-import struct
-import threading
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.inum.cache import InumCache
-from repro.inum.compiled import IndexSetMemo, _CompiledLayout, numpy_available
+from repro.inum.compiled import IndexSetMemo, _CompiledLayout, compile_cache, numpy_available
 from repro.query.ast import Query
 from repro.util.errors import PlanningError
 
@@ -61,9 +53,20 @@ ARENA_BACKENDS = ("auto", "numpy", "python")
 
 
 class _ArenaLayout:
-    """Backend-independent fused digest of one workload's compiled caches."""
+    """Backend-independent fused digest of one workload's compiled caches.
 
-    def __init__(self, queries: Sequence[Query], caches: Mapping[str, InumCache]) -> None:
+    ``layouts`` optionally supplies already-compiled per-statement layouts
+    (a caller's pool, keyed by statement name); statements without one are
+    compiled here.  Maintenance rows always come from ``caches``, so a
+    pooled layout never carries a stale write profile into the arena.
+    """
+
+    def __init__(
+        self,
+        queries: Sequence[Query],
+        caches: Mapping[str, InumCache],
+        layouts: Optional[Mapping[str, _CompiledLayout]] = None,
+    ) -> None:
         self.query_names: List[str] = []
         self.columns: List[Tuple[str, object]] = []
         self.column_of: Dict[Tuple[str, object], int] = {}
@@ -80,7 +83,7 @@ class _ArenaLayout:
         self.maintenance_base: List[float] = []
         self.maintenance_coeffs: Dict[Tuple[str, Tuple[str, ...]], List[float]] = {}
 
-        layouts: List[_CompiledLayout] = []
+        stacked: List[_CompiledLayout] = []
         for query in queries:
             cache = caches.get(query.name)
             if cache is None:
@@ -88,17 +91,19 @@ class _ArenaLayout:
                     f"no cache was built for query {query.name!r}; the arena "
                     "needs one compiled layout per workload statement"
                 )
-            layout = _CompiledLayout(cache)
+            layout = layouts.get(query.name) if layouts is not None else None
+            if layout is None:
+                layout = compile_cache(cache)
             if not layout.internal_costs:
                 raise PlanningError(
                     f"query {query.name!r} has an empty plan cache; the arena "
                     "cannot stack a query with no entries"
                 )
-            layouts.append(layout)
+            stacked.append(layout)
             self.query_names.append(query.name)
 
         # Pass 1: the global access-method column table (heaps first seen).
-        for layout in layouts:
+        for layout in stacked:
             for info in layout.methods:
                 key = (info.table, info.index_key)
                 if key not in self.column_of:
@@ -109,7 +114,7 @@ class _ArenaLayout:
 
         # Pass 2: stack class rows, entries and maintenance per query.
         width = len(self.columns)
-        for position, layout in enumerate(layouts):
+        for position, layout in enumerate(stacked):
             local_to_global = [
                 self.column_of[(info.table, info.index_key)] for info in layout.methods
             ]
@@ -135,7 +140,7 @@ class _ArenaLayout:
             self.class_offsets.append(len(self.full_costs))
             self.entry_offsets.append(len(self.internal_costs))
 
-            maintenance = layout.cache.maintenance
+            maintenance = caches[self.query_names[position]].maintenance
             self.maintenance_base.append(
                 maintenance.base_cost if maintenance is not None else 0.0
             )
@@ -145,38 +150,6 @@ class _ArenaLayout:
                         key, [0.0] * len(self.query_names)
                     )
                     row[position] = cost
-
-    def manifest(self) -> Dict:
-        """The layout as plain-Python data (for shared-memory attach)."""
-        return {
-            "query_names": list(self.query_names),
-            "columns": list(self.columns),
-            "heap_columns": list(self.heap_columns),
-            "class_offsets": list(self.class_offsets),
-            "entry_offsets": list(self.entry_offsets),
-            "full_weights": self.full_weights,
-            "probe_weights": self.probe_weights,
-            "maintenance_base": list(self.maintenance_base),
-            "maintenance_coeffs": self.maintenance_coeffs,
-        }
-
-    @classmethod
-    def from_manifest(cls, manifest: Dict) -> "_ArenaLayout":
-        layout = cls.__new__(cls)
-        layout.query_names = list(manifest["query_names"])
-        layout.columns = [tuple(column) for column in manifest["columns"]]
-        layout.column_of = {column: i for i, column in enumerate(layout.columns)}
-        layout.heap_columns = list(manifest["heap_columns"])
-        layout.class_offsets = list(manifest["class_offsets"])
-        layout.entry_offsets = list(manifest["entry_offsets"])
-        layout.full_costs = []  # numeric data lives in the shared buffers
-        layout.probe_costs = []
-        layout.internal_costs = []
-        layout.full_weights = manifest["full_weights"]
-        layout.probe_weights = manifest["probe_weights"]
-        layout.maintenance_base = list(manifest["maintenance_base"])
-        layout.maintenance_coeffs = dict(manifest["maintenance_coeffs"])
-        return layout
 
     def no_plan_error(self, position: int) -> PlanningError:
         return PlanningError(
@@ -202,8 +175,6 @@ class WorkloadArena:
         self._mask_memo = IndexSetMemo(self._build_mask)
         #: Stable identity assigned by the compiling model (for pooling).
         self.arena_id: Optional[str] = None
-        #: Name of the shared-memory block backing the buffers, if any.
-        self.shared_name: Optional[str] = None
 
     # -- shape ------------------------------------------------------------
 
@@ -321,10 +292,10 @@ class WorkloadArena:
 class PythonWorkloadArena(WorkloadArena):
     """Pure-Python fused evaluation (no numpy required).
 
-    Bit-identical to :class:`~repro.inum.compiled.PythonCacheEngine` per
-    query: the same eligible triples, the same per-entry summation order,
-    the same min-over-entries -- only stacked, so one call answers the whole
-    workload.
+    Per class, the minimum runs over the columns that are ever eligible;
+    per query, the entry totals are summed in cache order and minimised --
+    the same arithmetic as the numpy backend, one loop at a time, so the
+    no-numpy install answers identically (within 1e-9).
     """
 
     backend = "python"
@@ -465,45 +436,92 @@ class PythonWorkloadArena(WorkloadArena):
         return best + maintenance
 
 
+#: Largest (entries x classes) weight matrix the numpy arena stores densely.
+#: The matrices are block-diagonal (one block per statement), so their cell
+#: count grows with the *square* of the workload: fig-7 is 114 x 73 cells,
+#: a 2k-statement uncompressed trace would be gigabytes.  Past this bound
+#: the weights are kept as per-entry (class, weight) runs instead, whose
+#: size is linear in the workload.
+DENSE_WEIGHT_CELLS = 1 << 18
+
+
+class _WeightRuns:
+    """Sparse per-entry weights: (class, weight) pairs grouped by entry.
+
+    ``apply`` computes the same ``minima @ weights.T`` product as the dense
+    matrices by gathering each pair's class minimum and summing every
+    entry's run with one ``add.reduceat``.
+    """
+
+    def __init__(self, rows: Sequence[Mapping[int, float]]) -> None:
+        entries, classes, weights = [], [], []
+        for entry, row in enumerate(rows):
+            for class_position, weight in row.items():
+                entries.append(entry)
+                classes.append(class_position)
+                weights.append(weight)
+        self.entry_count = len(rows)
+        self.classes = _np.asarray(classes, dtype=_np.intp)
+        self.weights = _np.asarray(weights, dtype=_np.float64)
+        # Entries appear in order, so each non-empty entry's run starts at
+        # its first pair.
+        self.entries, self.starts = _np.unique(
+            _np.asarray(entries, dtype=_np.intp), return_index=True
+        )
+
+    def apply(self, minima):
+        """(sets x entries) weighted sums of a (sets x classes) batch."""
+        out = _np.zeros((minima.shape[0], self.entry_count), dtype=_np.float64)
+        if self.classes.size:
+            out[:, self.entries] = _np.add.reduceat(
+                minima[:, self.classes] * self.weights, self.starts, axis=1
+            )
+        return out
+
+
 class NumpyWorkloadArena(WorkloadArena):
-    """Vectorized fused evaluation: one masked min, one matmul, one segment min."""
+    """Vectorized fused evaluation: one masked min, one matmul, one segment min.
+
+    Workloads whose weight matrices would exceed :data:`DENSE_WEIGHT_CELLS`
+    replace the matmuls with :class:`_WeightRuns` gathers (same sums, other
+    rounding order -- within 1e-9), so memory stays linear in the workload.
+    """
 
     backend = "numpy"
 
-    def __init__(self, layout: _ArenaLayout, buffers: Optional[Dict[str, object]] = None) -> None:
+    def __init__(self, layout: _ArenaLayout) -> None:
         if _np is None:
             raise PlanningError(
                 "the arena numpy backend was requested but numpy is not "
                 "installed (pip install 'pinum-repro[perf]')"
             )
         super().__init__(layout)
-        if buffers is not None:
-            # Shared-memory attach: the numeric buffers already exist.
-            self._full = buffers["full"]
-            self._probe = buffers["probe"]
-            self._internal = buffers["internal"]
-            self._full_weight = buffers["full_weight"]
-            self._probe_weight = buffers["probe_weight"]
+        class_count = layout.class_offsets[-1]
+        entry_count = layout.entry_offsets[-1]
+        width = len(layout.columns)
+        self._full = _np.asarray(layout.full_costs, dtype=_np.float64).reshape(
+            class_count, width
+        )
+        self._probe = _np.asarray(layout.probe_costs, dtype=_np.float64).reshape(
+            class_count, width
+        )
+        self._internal = _np.asarray(layout.internal_costs, dtype=_np.float64)
+        if entry_count * class_count <= DENSE_WEIGHT_CELLS:
+            full_weight = self._dense_weights(layout.full_weights, class_count)
+            probe_weight = self._dense_weights(layout.probe_weights, class_count)
+            needs_full = (full_weight > 0.0).astype(_np.float64)
+            needs_probe = (probe_weight > 0.0).astype(_np.float64)
+            self._full_sums = lambda minima: minima @ full_weight.T
+            self._probe_sums = lambda minima: minima @ probe_weight.T
+            self._full_needs = lambda missing: missing @ needs_full.T
+            self._probe_needs = lambda missing: missing @ needs_probe.T
         else:
-            class_count = layout.class_offsets[-1]
-            entry_count = layout.entry_offsets[-1]
-            width = len(layout.columns)
-            self._full = _np.asarray(layout.full_costs, dtype=_np.float64).reshape(
-                class_count, width
-            )
-            self._probe = _np.asarray(layout.probe_costs, dtype=_np.float64).reshape(
-                class_count, width
-            )
-            self._internal = _np.asarray(layout.internal_costs, dtype=_np.float64)
-            self._full_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
-            self._probe_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
-            for position in range(entry_count):
-                for class_position, weight in layout.full_weights[position].items():
-                    self._full_weight[position, class_position] = weight
-                for class_position, weight in layout.probe_weights[position].items():
-                    self._probe_weight[position, class_position] = weight
-        self._needs_full = (self._full_weight > 0.0).astype(_np.float64)
-        self._needs_probe = (self._probe_weight > 0.0).astype(_np.float64)
+            # Weights are never negative, so missing x weight > 0 exactly
+            # where the dense ``needs`` product (weight > 0) is.
+            full_runs = _WeightRuns(layout.full_weights)
+            probe_runs = _WeightRuns(layout.probe_weights)
+            self._full_sums = self._full_needs = full_runs.apply
+            self._probe_sums = self._probe_needs = probe_runs.apply
         self._base_mask = _np.zeros(len(layout.columns), dtype=bool)
         self._base_mask[layout.heap_columns] = True
         self._entry_starts = _np.asarray(layout.entry_offsets[:-1], dtype=_np.intp)
@@ -514,6 +532,14 @@ class NumpyWorkloadArena(WorkloadArena):
         }
 
     # -- internals --------------------------------------------------------
+
+    @staticmethod
+    def _dense_weights(rows: Sequence[Mapping[int, float]], class_count: int):
+        matrix = _np.zeros((len(rows), class_count), dtype=_np.float64)
+        for position, row in enumerate(rows):
+            for class_position, weight in row.items():
+                matrix[position, class_position] = weight
+        return matrix
 
     def _build_mask(self, indexes: Sequence):
         mask = self._base_mask.copy()
@@ -534,13 +560,13 @@ class NumpyWorkloadArena(WorkloadArena):
         missing_full = _np.isinf(full_minima)
         missing_probe = _np.isinf(probe_minima)
         infeasible = (
-            missing_full.astype(_np.float64) @ self._needs_full.T
-            + missing_probe.astype(_np.float64) @ self._needs_probe.T
+            self._full_needs(missing_full.astype(_np.float64))
+            + self._probe_needs(missing_probe.astype(_np.float64))
         ) > 0.0
         costs = (
             self._internal[None, :]
-            + _np.where(missing_full, 0.0, full_minima) @ self._full_weight.T
-            + _np.where(missing_probe, 0.0, probe_minima) @ self._probe_weight.T
+            + self._full_sums(_np.where(missing_full, 0.0, full_minima))
+            + self._probe_sums(_np.where(missing_probe, 0.0, probe_minima))
         )
         costs[infeasible] = _np.inf
         reads = _np.minimum.reduceat(costs, self._entry_starts, axis=1)
@@ -654,17 +680,19 @@ def compile_arena(
     queries: Sequence[Query],
     caches: Mapping[str, InumCache],
     backend: str = "auto",
+    layouts: Optional[Mapping[str, _CompiledLayout]] = None,
 ) -> WorkloadArena:
     """Fuse the workload's caches into one arena.
 
     ``backend="auto"`` selects numpy when installed and the pure-Python
-    fallback otherwise, mirroring :func:`repro.inum.compiled.compile_cache`.
+    fallback otherwise.  ``layouts`` stacks pooled per-statement layouts
+    instead of recompiling them (see :class:`_ArenaLayout`).
     """
     if backend not in ARENA_BACKENDS:
         raise PlanningError(
             f"unknown arena backend {backend!r} (expected one of {ARENA_BACKENDS})"
         )
-    layout = _ArenaLayout(queries, caches)
+    layout = _ArenaLayout(queries, caches, layouts)
     if backend == "auto":
         backend = "numpy" if numpy_available() else "python"
     if backend == "numpy":
@@ -690,176 +718,3 @@ def arena_fingerprint(
         hasher.update(b"\x01")
         hasher.update(str(cache_ids.get(name, name)).encode("utf-8"))
     return "arena:" + hasher.hexdigest()[:16]
-
-
-# -- shared-memory publication ------------------------------------------------
-#
-# The numpy buffers are flat float64 blocks, so one shared-memory segment can
-# hold the whole arena: an 8-byte length header, a pickled manifest (shapes
-# plus the plain-Python layout data) and the five arrays.  Attachers map the
-# arrays zero-copy (read-only views over the segment).  A process-local
-# refcount table tracks every share/adopt; the owning process unlinks the
-# segment when its count returns to zero.
-
-_ARRAY_FIELDS = ("full", "probe", "internal", "full_weight", "probe_weight")
-_HEADER = struct.Struct("<Q")
-_ALIGN = 64
-
-
-class _SharedBlock:
-    def __init__(self, segment, owner: bool) -> None:
-        self.segment = segment
-        self.owner = owner
-        self.references = 1
-
-
-_SHARED_BLOCKS: Dict[str, _SharedBlock] = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def _untrack(segment) -> None:
-    """Detach the segment from this process's resource tracker.
-
-    Attaching registers the name with ``multiprocessing.resource_tracker``
-    on Pythons before 3.13, which would unlink the segment when *any*
-    attaching process exits; only the owner may unlink.
-    """
-    try:  # pragma: no cover - version-dependent
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def share_arena(arena: WorkloadArena) -> str:
-    """Publish the arena's buffers into a shared-memory segment.
-
-    Returns the segment name (also recorded as ``arena.shared_name``).
-    Numpy-backed arenas only; raises :class:`PlanningError` otherwise.  The
-    publishing process owns the segment: it is unlinked when the owner's
-    :func:`release_arena` balance returns to zero.
-    """
-    if _np is None or not isinstance(arena, NumpyWorkloadArena):
-        raise PlanningError(
-            "only numpy-backed arenas can be placed in shared memory"
-        )
-    if arena.shared_name is not None:
-        with _SHARED_LOCK:
-            block = _SHARED_BLOCKS.get(arena.shared_name)
-            if block is not None:
-                block.references += 1
-                return arena.shared_name
-    from multiprocessing import shared_memory
-
-    arrays = {field: getattr(arena, f"_{field}") for field in _ARRAY_FIELDS}
-    manifest = arena._layout.manifest()
-    manifest["shapes"] = {field: array.shape for field, array in arrays.items()}
-    payload = pickle.dumps(manifest, protocol=pickle.HIGHEST_PROTOCOL)
-    offset = _HEADER.size + len(payload)
-    offset += (-offset) % _ALIGN
-    offsets = {}
-    total = offset
-    for field, array in arrays.items():
-        offsets[field] = total
-        total += array.nbytes
-        total += (-total) % _ALIGN
-    segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    segment.buf[: _HEADER.size] = _HEADER.pack(len(payload))
-    segment.buf[_HEADER.size : _HEADER.size + len(payload)] = payload
-    for field, array in arrays.items():
-        view = _np.ndarray(
-            array.shape, dtype=_np.float64, buffer=segment.buf, offset=offsets[field]
-        )
-        view[...] = array
-        setattr(arena, f"_{field}", view)
-    with _SHARED_LOCK:
-        _SHARED_BLOCKS[segment.name] = _SharedBlock(segment, owner=True)
-    arena.shared_name = segment.name
-    return segment.name
-
-
-def attach_arena(name: str) -> NumpyWorkloadArena:
-    """Map a shared arena published by another process (zero-copy).
-
-    The returned arena reads straight from the segment; call
-    :func:`release_arena` when done with it.
-    """
-    if _np is None:
-        raise PlanningError(
-            "attaching a shared arena requires numpy "
-            "(pip install 'pinum-repro[perf]')"
-        )
-    from multiprocessing import shared_memory
-
-    with _SHARED_LOCK:
-        block = _SHARED_BLOCKS.get(name)
-        if block is not None:
-            block.references += 1
-            segment = block.segment
-        else:
-            try:
-                segment = shared_memory.SharedMemory(name=name, track=False)
-            except TypeError:  # pragma: no cover - Python < 3.13
-                segment = shared_memory.SharedMemory(name=name)
-                _untrack(segment)
-            _SHARED_BLOCKS[name] = _SharedBlock(segment, owner=False)
-    (payload_length,) = _HEADER.unpack_from(segment.buf, 0)
-    manifest = pickle.loads(bytes(segment.buf[_HEADER.size : _HEADER.size + payload_length]))
-    offset = _HEADER.size + payload_length
-    offset += (-offset) % _ALIGN
-    buffers: Dict[str, object] = {}
-    for field in _ARRAY_FIELDS:
-        shape = manifest["shapes"][field]
-        view = _np.ndarray(shape, dtype=_np.float64, buffer=segment.buf, offset=offset)
-        view.setflags(write=False)
-        buffers[field] = view
-        offset += view.nbytes
-        offset += (-offset) % _ALIGN
-    layout = _ArenaLayout.from_manifest(manifest)
-    arena = NumpyWorkloadArena(layout, buffers=buffers)
-    arena.shared_name = name
-    return arena
-
-
-def release_arena(name: str) -> None:
-    """Drop one reference to a shared arena segment.
-
-    The last release in the owning process unlinks the segment; attachers
-    merely close their mapping.  Unknown names are ignored (idempotent
-    teardown paths).
-    """
-    with _SHARED_LOCK:
-        block = _SHARED_BLOCKS.get(name)
-        if block is None:
-            return
-        block.references -= 1
-        if block.references > 0:
-            return
-        del _SHARED_BLOCKS[name]
-    # numpy views over the buffer must be gone before close(); callers drop
-    # their arena references first (the tier does, and tests follow suit).
-    try:
-        block.segment.close()
-        if block.owner:
-            # Re-register before unlink: when owner and attachers share one
-            # resource-tracker daemon (multiprocessing children do), an
-            # attacher's pre-3.13 unregister workaround removed the owner's
-            # entry too, and unlink()'s own unregister would hit a KeyError
-            # inside the tracker.  Registering is a set-add, so this is a
-            # no-op when the entry is still there.
-            try:  # pragma: no cover - version/platform dependent
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(block.segment._name, "shared_memory")
-            except Exception:
-                pass
-            block.segment.unlink()
-    except (BufferError, FileNotFoundError, OSError):  # pragma: no cover
-        pass
-
-
-def shared_arena_names() -> Tuple[str, ...]:
-    """Names of the shared arena segments this process currently maps."""
-    with _SHARED_LOCK:
-        return tuple(_SHARED_BLOCKS)

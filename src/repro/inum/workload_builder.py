@@ -26,6 +26,7 @@ workload-level accounting the benchmarks and the CLI report.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -104,6 +105,9 @@ class WorkloadBuildReport:
     outcomes: List[QueryBuildOutcome] = field(default_factory=list)
     #: Wall-clock seconds of the whole build (parallel time, not CPU time).
     wall_seconds: float = 0.0
+    #: Queries rebuilt serially in-process because a pool worker died
+    #: before returning them (caches the pool did return are kept).
+    serial_fallback_queries: int = 0
 
     def outcome_for(self, query_name: str) -> Optional[QueryBuildOutcome]:
         """The outcome recorded for ``query_name`` (if any)."""
@@ -252,6 +256,7 @@ class WorkloadCacheBuilder:
             built=report.queries_built,
             store=report.queries_from_store,
             deduplicated=report.queries_deduplicated,
+            serial_fallback=report.serial_fallback_queries,
         )
         return result
 
@@ -301,8 +306,9 @@ class WorkloadCacheBuilder:
                 to_build.append(query)
 
         # 2. Fresh builds, fanned out when a pool is requested.
+        fallback = 0
         if opts.jobs > 1 and len(to_build) > 1:
-            built = self._build_parallel(to_build, per_query_candidates)
+            built, fallback = self._build_parallel(to_build, per_query_candidates)
         else:
             built = self._build_serial(to_build, per_query_candidates)
         for query in to_build:
@@ -329,6 +335,7 @@ class WorkloadCacheBuilder:
             jobs=opts.jobs,
             outcomes=[outcomes[query.name] for query in queries],
             wall_seconds=wall.elapsed(),
+            serial_fallback_queries=fallback,
         )
         for outcome in report.outcomes:
             BUILD_QUERIES.labels(source=outcome.source).inc()
@@ -383,7 +390,15 @@ class WorkloadCacheBuilder:
         self,
         queries: Sequence[Query],
         per_query_candidates: Dict[str, Optional[List[Index]]],
-    ) -> Dict[str, InumCache]:
+    ) -> Tuple[Dict[str, InumCache], int]:
+        """Pool build; returns the caches and how many fell back to serial.
+
+        A worker that dies mid-build (killed, out of memory) breaks the
+        whole pool: every unfinished task fails with ``BrokenProcessPool``.
+        The caches already returned are kept and only the rest are rebuilt
+        serially in this process, so one crash costs the lost builds, not
+        the finished ones.  Ordinary build errors still propagate.
+        """
         if self._catalog_factory is None:
             raise ReproError(
                 "parallel workload builds (jobs > 1) need a picklable catalog_factory"
@@ -404,14 +419,23 @@ class WorkloadCacheBuilder:
             initializer=_worker_initialize,
             initargs=(self._catalog_factory, self.options),
         ) as pool:
-            tasks = [
-                (query, per_query_candidates[query.name], traced) for query in ordered
+            futures = [
+                pool.submit(_worker_build, (query, per_query_candidates[query.name], traced))
+                for query in ordered
             ]
-            for query, payload in zip(ordered, pool.map(_worker_build, tasks)):
+            lost: List[Query] = []
+            for query, future in zip(ordered, futures):
+                try:
+                    payload = future.result()
+                except BrokenProcessPool:
+                    lost.append(query)
+                    continue
                 caches[query.name] = cache_from_dict(payload["cache"], query)
                 if payload.get("span") is not None:
                     tracer.adopt(payload["span"])
-        return caches
+        if lost:
+            caches.update(self._build_serial(lost, per_query_candidates))
+        return caches, len(lost)
 
 
 def _build_one_cache(

@@ -16,6 +16,8 @@ from repro.optimizer import Optimizer
 from repro.util.errors import AdvisorError
 from repro.util.units import megabytes
 
+from test_golden_recommend import engine_variant
+
 
 @pytest.fixture
 def workload(join_query, simple_query):
@@ -51,9 +53,12 @@ class TestLazyMatchesExhaustive:
         assert _step_keys(lazy) == _step_keys(exhaustive)
 
     def test_incremental_matches_full_reevaluation(self, small_catalog, model, candidates):
+        """The lazy heap over delta evaluation (the scalar engine's path)
+        picks what the full re-evaluation loop picks."""
         budget = megabytes(512)
-        full = GreedySelector(small_catalog, model, budget, incremental=False).select(candidates)
-        delta = GreedySelector(small_catalog, model, budget, incremental=True).select(candidates)
+        model.select_engine("scalar")
+        full = GreedySelector(small_catalog, model, budget).select(candidates)
+        delta = LazyGreedySelector(small_catalog, model, budget).select(candidates)
         assert _step_keys(delta) == _step_keys(full)
 
     def test_engines_agree_on_selection(self, small_catalog, model, candidates):
@@ -62,11 +67,12 @@ class TestLazyMatchesExhaustive:
         # sets are compared, not the sequences.
         budget = megabytes(512)
         picks = {}
-        for engine in ("scalar", "python", "auto"):
-            model.select_engine(engine)
-            steps = LazyGreedySelector(small_catalog, model, budget).select(candidates)
+        for engine in ("scalar", "python", "arena"):
+            with engine_variant(engine) as option:
+                model.select_engine(option)
+                steps = LazyGreedySelector(small_catalog, model, budget).select(candidates)
             picks[engine] = {step.chosen.key for step in steps}
-        assert picks["scalar"] == picks["python"] == picks["auto"]
+        assert picks["scalar"] == picks["python"] == picks["arena"]
 
     def test_matches_with_optimizer_cost_model(self, small_catalog, workload, candidates):
         model = OptimizerWorkloadCostModel(Optimizer(small_catalog), workload)
@@ -135,6 +141,8 @@ class TestIncrementalEvaluator:
         assert evaluator.per_query_costs() == model.per_query_costs([first])
 
     def test_irrelevant_table_short_circuits(self, model):
+        # Delta evaluation is the non-arena path (scalar and optimizer models).
+        model.select_engine("scalar")
         evaluator = IncrementalWorkloadEvaluator(model)
         before = model.query_evaluations
         stranger = Index("nowhere", ["nothing"])
@@ -143,23 +151,28 @@ class TestIncrementalEvaluator:
 
 
 class TestAdvisorSelectorOption:
-    def test_lazy_and_exhaustive_recommendations_match(self, small_catalog, workload):
-        results = {}
-        for selector in ("lazy", "exhaustive"):
-            advisor = IndexAdvisor(
-                small_catalog,
-                Optimizer(small_catalog),
-                AdvisorOptions(space_budget_bytes=megabytes(512), selector=selector),
-            )
-            results[selector] = advisor.recommend(workload)
-        lazy, exhaustive = results["lazy"], results["exhaustive"]
-        assert [i.key for i in lazy.selected_indexes] == [
-            i.key for i in exhaustive.selected_indexes
-        ]
-        assert lazy.workload_cost_after == exhaustive.workload_cost_after
+    def test_lazy_and_exhaustive_recommendations_match(
+        self, small_catalog, workload, candidates
+    ):
+        """The advisor's lazy recommendation is the reference loop's."""
+        advisor = IndexAdvisor(
+            small_catalog,
+            Optimizer(small_catalog),
+            AdvisorOptions(space_budget_bytes=megabytes(512)),
+        )
+        lazy = advisor.recommend(workload)
+        model = CacheBackedWorkloadCostModel(
+            Optimizer(small_catalog), workload, candidates, engine="scalar"
+        )
+        exhaustive = GreedySelector(small_catalog, model, megabytes(512))
+        steps = exhaustive.select(candidates)
+        assert [i.key for i in lazy.selected_indexes] == [s.chosen.key for s in steps]
+        assert lazy.workload_cost_after == pytest.approx(
+            steps[-1].workload_cost_after, rel=1e-9
+        )
         assert (
             lazy.selection_candidate_evaluations
-            <= exhaustive.selection_candidate_evaluations
+            <= exhaustive.statistics.candidate_evaluations
         )
 
     def test_selection_stats_reported(self, small_catalog, workload):
@@ -170,7 +183,7 @@ class TestAdvisorSelectorOption:
         )
         result = advisor.recommend(workload)
         assert result.selector == "lazy"
-        assert result.engine in ("numpy", "python")
+        assert result.engine == "arena"
         assert result.selection_seconds >= 0.0
         assert result.selection_candidate_evaluations > 0
         assert result.selection_query_evaluations > 0

@@ -9,7 +9,6 @@ from repro.api.registry import (
     COST_MODELS,
     ENGINES,
     SELECTORS,
-    EngineSpec,
     Registry,
 )
 from repro.inum.workload_builder import WorkloadBuilderOptions
@@ -19,14 +18,14 @@ from repro.util.errors import AdvisorError, ReproError
 class TestRegistry:
     def test_builtin_names_are_listed(self):
         assert set(COST_MODELS.names()) == {"pinum", "inum", "optimizer"}
-        assert set(SELECTORS.names()) == {"lazy", "exhaustive", "ilp"}
-        assert set(ENGINES.names()) == {"auto", "arena", "numpy", "python", "scalar"}
+        assert set(SELECTORS.names()) == {"lazy", "ilp"}
+        assert set(ENGINES.names()) == {"arena", "scalar"}
         assert set(CACHE_BUILDERS.names()) == {"pinum", "inum"}
         assert set(CANDIDATE_POLICIES.names()) == {"workload", "per_query"}
 
     def test_unknown_name_lists_registered_choices(self):
         with pytest.raises(
-            AdvisorError, match=r"unknown selector 'random'.*'exhaustive', 'ilp', 'lazy'"
+            AdvisorError, match=r"unknown selector 'random'.*'ilp', 'lazy'"
         ):
             SELECTORS.validate("random")
 
@@ -66,12 +65,6 @@ class TestRegistry:
         with pytest.raises(AdvisorError, match="already registered"):
             SELECTORS.register("lazy", object())
 
-    def test_engine_spec_availability(self):
-        spec = EngineSpec("broken", availability=lambda: "not here")
-        with pytest.raises(AdvisorError, match="not here"):
-            spec.ensure_available()
-        EngineSpec("fine").ensure_available()
-
 
 class TestEagerOptionValidation:
     """Unknown names fail at options-construction time, listing choices."""
@@ -85,7 +78,7 @@ class TestEagerOptionValidation:
             AdvisorOptions(selector="random")
 
     def test_unknown_engine(self):
-        with pytest.raises(AdvisorError, match=r"unknown evaluation engine 'gpu'.*'numpy'"):
+        with pytest.raises(AdvisorError, match=r"unknown evaluation engine 'gpu'.*'arena'"):
             AdvisorOptions(engine="gpu")
 
     def test_unknown_candidate_policy(self):
@@ -94,7 +87,7 @@ class TestEagerOptionValidation:
 
     def test_valid_options_construct(self):
         options = AdvisorOptions(
-            cost_model="inum", selector="exhaustive", engine="scalar",
+            cost_model="inum", selector="ilp", engine="scalar",
             candidate_policy="per_query",
         )
         assert options.cost_model == "inum"

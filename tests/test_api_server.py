@@ -145,6 +145,27 @@ class TestSessions:
         assert stats["result"]["sessions"] == 2
 
 
+    def test_private_sessions_are_freed_on_disconnect(self):
+        """20 anonymous connect/ping/close cycles leave only named sessions."""
+        async def work(server):
+            async with TuningClient(
+                "127.0.0.1", server.port, session_id="tenant-a"
+            ) as client:
+                await client.call("ping")
+            for _ in range(20):
+                async with TuningClient("127.0.0.1", server.port) as client:
+                    await client.call("ping")
+            for _ in range(500):  # the server notices each close asynchronously
+                if server.connections_active == 0:
+                    break
+                await asyncio.sleep(0.01)
+            return server.connections_active, server.session_count
+
+        active, held = run(_with_server(work))
+        assert active == 0
+        assert held == 1, "only the named session outlives its connection"
+
+
 class TestDrainSemantics:
     def test_shutdown_during_pipelined_recommend_drains_first(self):
         """A shutdown racing a recommend never swallows the response."""

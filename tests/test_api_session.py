@@ -76,8 +76,9 @@ class TestRecommend:
             session.recommend(RecommendRequest(selector="bogus"))
 
     def test_request_overrides_apply(self, session):
-        response = session.recommend(RecommendRequest(selector="exhaustive"))
-        assert response.result.selector == "exhaustive"
+        response = session.recommend(RecommendRequest(selector="ilp", engine="scalar"))
+        assert response.result.selector == "ilp"
+        assert response.result.engine == "scalar"
 
     def test_explicit_candidates_bypass_generation(self, session):
         candidate = Index("sales", ["s_customer"], hypothetical=True)

@@ -15,8 +15,8 @@ that claim checkable instead of asserted, on two workloads:
   hand-folded into distinct statements with count weights (the
   "uncompressed weighted run").
 
-Both are exercised across every evaluation engine (scalar / python /
-numpy / arena) and both selectors (``lazy`` and ``ilp``): picks must be
+Both are exercised across every evaluation engine variant (the scalar
+reference, the arena on each backend, the default arena) and both selectors (``lazy`` and ``ilp``): picks must be
 identical and every reported cost must match within 1e-9.  A final test
 drops the weights entirely -- tuning the raw instance list as individual
 session entries -- to prove the multiplicity-weight fold means exactly
@@ -30,17 +30,21 @@ from collections import Counter
 
 import pytest
 
-from test_golden_recommend import GOLDEN_COST_AFTER, GOLDEN_PICKS, MAX_CANDIDATES
+from test_golden_recommend import (
+    _ENGINES,
+    GOLDEN_COST_AFTER,
+    GOLDEN_PICKS,
+    MAX_CANDIDATES,
+    engine_variant,
+)
 from repro.advisor.advisor import AdvisorOptions
 from repro.api.requests import RecommendRequest
 from repro.api.session import TuningSession
-from repro.inum.compiled import numpy_available
 from repro.query.parser import parse_statement
 from repro.util.fingerprint import template_fingerprint
 from repro.util.units import gigabytes
 from repro.workloads import StarSchemaWorkload
 
-_ENGINES = ["scalar", "python"] + (["numpy"] if numpy_available() else []) + ["arena"]
 _SELECTORS = ["lazy", "ilp"]
 
 #: Candidate cap for the trace matrix: small enough that the ILP
@@ -52,9 +56,10 @@ _SELECTORS = ["lazy", "ilp"]
 TRACE_CANDIDATES = 25
 TRACE_LENGTH = 2000
 
-#: Exact pick order is only guaranteed for the sequential engines; the
-#: vectorized reductions may permute *equal-benefit* picks (documented
-#: 1-ulp tie behaviour), so those compare pick sets.
+#: Exact pick order is only guaranteed for the sequential evaluations (the
+#: scalar walk, the pure-Python arena); the vectorized reductions may
+#: permute *equal-benefit* picks (documented 1-ulp tie behaviour), so those
+#: compare pick sets.
 _ORDER_EXACT = {"scalar", "python"}
 
 
@@ -108,11 +113,12 @@ class TestFig7Golden:
     def test_compressing_unique_templates_is_a_no_op(self, engine):
         """Ten distinct templates: compression must change nothing at all."""
         workload = StarSchemaWorkload(seed=7)
-        session = TuningSession(
-            workload.catalog(), workload.queries(),
-            options=self._options(engine, compress=True),
-        )
-        response = session.recommend()
+        with engine_variant(engine) as option:
+            session = TuningSession(
+                workload.catalog(), workload.queries(),
+                options=self._options(option, compress=True),
+            )
+            response = session.recommend()
         result = response.result
         assert response.compression == {
             "statements": 10, "templates": 10, "ratio": 1.0,
@@ -141,7 +147,7 @@ class TestFig7Golden:
         ]
         session = TuningSession(
             workload.catalog(), instances,
-            options=self._options("python", compress=True),
+            options=self._options("scalar", compress=True),
         )
         response = session.recommend()
         result = response.result
@@ -209,11 +215,12 @@ def trace_references(trace_instances):
 
     def reference(engine, selector):
         if (engine, selector) not in cache:
-            session = TuningSession(
-                catalog, distinct, options=_trace_options(engine, selector)
-            )
-            session.set_weights(counts)
-            cache[(engine, selector)] = session.recommend().result
+            with engine_variant(engine) as option:
+                session = TuningSession(
+                    catalog, distinct, options=_trace_options(option, selector)
+                )
+                session.set_weights(counts)
+                cache[(engine, selector)] = session.recommend().result
         return cache[(engine, selector)]
 
     return reference
@@ -227,10 +234,11 @@ def test_trace_compression_matches_the_weighted_run(
     """Compressed recommend == hand-folded weighted recommend, at 1e-9."""
     catalog, statements = trace_instances
     distinct, counts = _fold_by_sql(statements)
-    session = TuningSession(
-        catalog, statements, options=_trace_options(engine, selector)
-    )
-    response = session.recommend(RecommendRequest(compress=True))
+    with engine_variant(engine) as option:
+        session = TuningSession(
+            catalog, statements, options=_trace_options(option, selector)
+        )
+        response = session.recommend(RecommendRequest(compress=True))
 
     assert response.compression is not None
     assert response.compression["statements"] == TRACE_LENGTH
@@ -260,7 +268,7 @@ def test_add_queries_compress_matches_the_weighted_run(
     """
     catalog, statements = trace_instances
     distinct, _ = _fold_by_sql(statements)
-    session = TuningSession(catalog, options=_trace_options("auto", "lazy"))
+    session = TuningSession(catalog, options=_trace_options("arena", "lazy"))
     chunk = TRACE_LENGTH // 4
     for start in range(0, TRACE_LENGTH, chunk):
         names = session.add_queries(statements[start:start + chunk], compress=True)
@@ -274,8 +282,8 @@ def test_add_queries_compress_matches_the_weighted_run(
     }
     _assert_same_recommendation(
         session.recommend().result,
-        trace_references("auto", "lazy"),
-        "auto",
+        trace_references("arena", "lazy"),
+        "arena",
         name_map,
     )
 
@@ -292,7 +300,7 @@ def test_weighted_fold_equals_true_instance_replay(trace_instances):
     catalog, statements = trace_instances
     slice_ = statements[:200]
     options = AdvisorOptions(
-        space_budget_bytes=gigabytes(2), max_candidates=20, engine="python"
+        space_budget_bytes=gigabytes(2), max_candidates=20, engine="arena"
     )
 
     raw = TuningSession(catalog, slice_, options=options).recommend().result
@@ -300,7 +308,7 @@ def test_weighted_fold_equals_true_instance_replay(trace_instances):
     compressed_session = TuningSession(
         catalog, slice_, options=AdvisorOptions(
             space_budget_bytes=gigabytes(2), max_candidates=20,
-            engine="python", compress=True,
+            engine="arena", compress=True,
         ),
     )
     compressed = compressed_session.recommend().result
@@ -334,7 +342,7 @@ def test_parameter_churn_is_flagged_as_approximate(trace_instances):
         catalog, variants,
         options=AdvisorOptions(
             space_budget_bytes=gigabytes(2), max_candidates=10,
-            engine="python", compress=True,
+            engine="arena", compress=True,
         ),
     )
     response = session.recommend()

@@ -6,19 +6,26 @@ sizes -- under every evaluation engine.  A refactor that silently changes
 any of it (a cost-model tweak, a tie-break change, a cache layout bug)
 fails here first, with a diff a human can read.
 
-The golden values were recorded from the scalar engine.  The compiled
-python backend must reproduce the pick sequence bit-for-bit; the numpy
-backend is allowed to permute *equal-benefit* picks (documented 1-ulp tie
-behaviour of vectorized reduction) but must select the same index set at
-costs within 1e-9.
+The golden values were recorded from the scalar engine, the reference
+oracle.  The workload arena's pure-Python backend must reproduce the pick
+sequence bit-for-bit; its numpy backend is allowed to permute
+*equal-benefit* picks (documented 1-ulp tie behaviour of vectorized
+reduction) but must select the same index set at costs within 1e-9.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.advisor import benefit
 from repro.advisor.advisor import AdvisorOptions
-from repro.api.session import TuningSession
+from repro.advisor.candidates import CandidateGenerator
+from repro.advisor.benefit import CacheBackedWorkloadCostModel
+from repro.advisor.greedy import GreedySelector
+from repro.api.session import TuningSession, workload_candidate_policy
+from repro.optimizer import Optimizer
 from repro.inum.compiled import numpy_available
 from repro.util.units import gigabytes
 from repro.workloads import StarSchemaWorkload
@@ -55,24 +62,46 @@ GOLDEN_PER_QUERY_AFTER = {
     "Q10": 2130423.98596057,
 }
 
-_ENGINES = ["scalar", "python"] + (["numpy"] if numpy_available() else [])
-# The fused arena (PR 7) inherits numpy's tie allowance: its regrouped sums
-# may permute equal-benefit picks, but never the pick *set* or any cost.
-_ENGINES.append("arena")
+#: Parametrized variants (see :func:`engine_variant`): the scalar reference,
+#: each arena backend forced, and the default arena.  The numpy-backed
+#: variants may permute equal-benefit picks (regrouped sums), but never the
+#: pick *set* or any cost.
+_ENGINES = ["scalar", "python"] + (["numpy"] if numpy_available() else []) + ["arena"]
+
+
+@contextmanager
+def engine_variant(engine: str):
+    """The ``AdvisorOptions.engine`` of one parametrized variant.
+
+    ``"python"``/``"numpy"`` run the arena with that backend forced (the
+    cost model compiles arenas with numpy exactly when
+    :func:`~repro.advisor.benefit.numpy_available` says so); ``"arena"`` is
+    the default path and ``"scalar"`` the reference walk.
+    """
+    if engine not in ("python", "numpy"):
+        yield engine
+        return
+    saved = benefit.numpy_available
+    benefit.numpy_available = lambda: engine == "numpy"
+    try:
+        yield "arena"
+    finally:
+        benefit.numpy_available = saved
 
 
 def _recommend(engine: str):
     workload = StarSchemaWorkload(seed=7)
-    session = TuningSession(
-        workload.catalog(),
-        workload.queries(),
-        options=AdvisorOptions(
-            space_budget_bytes=gigabytes(5),
-            max_candidates=MAX_CANDIDATES,
-            engine=engine,
-        ),
-    )
-    return session.recommend().result
+    with engine_variant(engine) as option:
+        session = TuningSession(
+            workload.catalog(),
+            workload.queries(),
+            options=AdvisorOptions(
+                space_budget_bytes=gigabytes(5),
+                max_candidates=MAX_CANDIDATES,
+                engine=option,
+            ),
+        )
+        return session.recommend().result
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
@@ -105,12 +134,12 @@ def test_fig7_recommendation_is_pinned(engine):
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_arena_engine_is_pinned_to_numpy():
-    """The fused arena reproduces the per-query numpy recommendation."""
-    arena = _recommend("arena")
-    reference = _recommend("numpy")
+    """The numpy arena reproduces the pure-Python arena's recommendation."""
+    arena = _recommend("numpy")
+    reference = _recommend("python")
     arena_picks = sorted((i.table, i.columns) for i in arena.selected_indexes)
-    numpy_picks = sorted((i.table, i.columns) for i in reference.selected_indexes)
-    assert arena_picks == numpy_picks
+    python_picks = sorted((i.table, i.columns) for i in reference.selected_indexes)
+    assert arena_picks == python_picks
     assert arena.workload_cost_after == pytest.approx(
         reference.workload_cost_after, rel=1e-9
     )
@@ -119,19 +148,15 @@ def test_arena_engine_is_pinned_to_numpy():
 
 
 def test_selectors_agree_on_the_golden_workload():
-    """The exhaustive reference loop pins the very same recommendation."""
+    """The paper's exhaustive loop, over the scalar reference model, pins the
+    very same recommendation the lazy selector produces."""
     workload = StarSchemaWorkload(seed=7)
-    session = TuningSession(
-        workload.catalog(),
-        workload.queries(),
-        options=AdvisorOptions(
-            space_budget_bytes=gigabytes(5),
-            max_candidates=MAX_CANDIDATES,
-            engine="python",
-            selector="exhaustive",
-        ),
+    catalog, queries = workload.catalog(), workload.queries()
+    plan = workload_candidate_policy(CandidateGenerator(catalog), queries, MAX_CANDIDATES)
+    model = CacheBackedWorkloadCostModel(
+        Optimizer(catalog), queries, plan.pool, engine="scalar"
     )
-    result = session.recommend().result
-    picks = [(index.table, index.columns) for index in result.selected_indexes]
+    steps = GreedySelector(catalog, model, gigabytes(5)).select(plan.pool)
+    picks = [(step.chosen.table, step.chosen.columns) for step in steps]
     assert picks == GOLDEN_PICKS
-    assert result.workload_cost_after == pytest.approx(GOLDEN_COST_AFTER, rel=1e-9)
+    assert steps[-1].workload_cost_after == pytest.approx(GOLDEN_COST_AFTER, rel=1e-9)

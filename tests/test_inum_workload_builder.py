@@ -2,15 +2,20 @@
 
 import dataclasses
 import functools
+import multiprocessing
+import os
+import time
 
 import pytest
 
 from repro.advisor import CandidateGenerator
+from repro.api.registry import CACHE_BUILDERS
 from repro.inum import (
     CacheStore,
     WorkloadBuilderOptions,
     WorkloadCacheBuilder,
 )
+from repro.pinum.cache_builder import PinumCacheBuilder
 from repro.util.errors import ReproError
 from repro.workloads import builtin_catalog_factory
 from repro.workloads.tpch_like import (
@@ -20,6 +25,38 @@ from repro.workloads.tpch_like import (
 )
 
 from conftest import build_join_query, build_simple_query
+
+
+#: Environment variable naming the directory the crash test's builders use
+#: to signal each other across worker processes.
+_CRASH_DIR = "REPRO_TEST_CRASH_DIR"
+
+
+class _CrashingBuilder(PinumCacheBuilder):
+    """A PINUM builder whose pool worker dies on ``tpch_small_join``.
+
+    Other builds drop a marker file when they finish; the doomed worker
+    waits for it (plus a grace period for the result to travel home), so
+    the crash reliably lands after a finished cache.  In the parent process
+    it builds normally -- that is the serial fallback under test.
+    """
+
+    def build_cache(self, query, candidate_indexes=None):
+        marker = os.path.join(os.environ[_CRASH_DIR], "finished")
+        if query.name == "tpch_small_join" and multiprocessing.parent_process() is not None:
+            deadline = time.monotonic() + 60.0
+            while not os.path.exists(marker) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)
+            os._exit(1)
+        cache = super().build_cache(query, candidate_indexes)
+        open(marker, "w").close()
+        return cache
+
+
+def _crashing_catalog_factory():
+    CACHE_BUILDERS.register("crash-test", _CrashingBuilder, replace=True)
+    return build_tpch_like_catalog()
 
 
 @pytest.fixture
@@ -124,6 +161,31 @@ class TestParallelBuild:
             assert fast.build_stats.optimizer_calls_total == (
                 slow.build_stats.optimizer_calls_total
             )
+
+
+    def test_worker_crash_keeps_finished_caches(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_CRASH_DIR, str(tmp_path))
+        CACHE_BUILDERS.register("crash-test", _CrashingBuilder, replace=True)
+        try:
+            queries = [tpch_q5_like_query(), tpch_small_join_query()]
+            catalog = build_tpch_like_catalog()
+            candidates = CandidateGenerator(catalog).for_workload(queries)
+            serial = WorkloadCacheBuilder(catalog).build(queries, candidates)
+            crashed = WorkloadCacheBuilder(
+                catalog,
+                WorkloadBuilderOptions(builder="crash-test", jobs=2),
+                catalog_factory=_crashing_catalog_factory,
+            ).build(queries, candidates)
+        finally:
+            CACHE_BUILDERS.unregister("crash-test")
+
+        # Only the crashed worker's query is rebuilt; q5 came from the pool.
+        assert crashed.report.serial_fallback_queries == 1
+        assert crashed.report.queries_built == 2
+        for query in queries:
+            rebuilt, reference = crashed.caches[query.name], serial.caches[query.name]
+            assert rebuilt.entry_count == reference.entry_count
+            assert len(rebuilt.access_costs) == len(reference.access_costs)
 
 
 class TestStoreIntegration:

@@ -1,9 +1,9 @@
 """Cross-engine equivalence of maintenance-cost evaluation.
 
 The same mixed read/write workload must price identically (within 1e-9)
-whether it is evaluated by the vectorized numpy backend, the pure-Python
-compiled layout or the original scalar walk -- otherwise `--engine` would
-change recommendations.  Randomized in two tiers: hypothesis-generated
+whether it is evaluated by the workload arena (numpy or pure-Python
+backend) or the original scalar walk -- otherwise `--engine` would change
+recommendations.  Randomized in two tiers: hypothesis-generated
 synthetic caches with maintenance profiles (fast, adversarial shapes) and
 real caches built for randomized DML statements over the small catalog.
 """
@@ -21,7 +21,8 @@ from repro.advisor.candidates import CandidateGenerator
 from repro.catalog.index import Index
 from repro.inum.access_costs import AccessCostInfo
 from repro.inum.cache import CachedSlot, CacheEntry, InumCache
-from repro.inum.compiled import compile_cache, numpy_available
+from repro.inum.arena import compile_arena
+from repro.inum.compiled import numpy_available
 from repro.inum.cost_estimation import InumCostModel
 from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.optimizer.maintenance import MaintenanceProfile
@@ -29,6 +30,7 @@ from repro.optimizer.optimizer import Optimizer
 from repro.query.ast import ColumnRef, Comparison, DmlKind, DmlStatement, Predicate
 
 from conftest import build_join_query, build_simple_query, build_small_catalog
+from test_golden_recommend import engine_variant
 
 _settings = settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 
@@ -88,6 +90,14 @@ def maintenance_caches(draw):
     return cache, subset
 
 
+_BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+
+def _arena(cache, backend):
+    """A one-statement arena over ``cache``."""
+    return compile_arena([cache.query], {cache.query.name: cache}, backend=backend)
+
+
 class TestSyntheticCacheEquivalence:
     @_settings
     @given(data=maintenance_caches())
@@ -98,14 +108,13 @@ class TestSyntheticCacheEquivalence:
         profile = cache.maintenance
         # The scalar estimate decomposes: read minimum plus maintenance.
         assert expected >= profile.cost_for(subset) - 1e-9
-        backends = ["python"] + (["numpy"] if numpy_available() else [])
-        for backend in backends:
-            engine = compile_cache(cache, backend=backend)
-            assert engine.estimate(subset) == pytest.approx(expected, rel=1e-9, abs=1e-9)
-            assert engine.maintenance_cost(subset) == pytest.approx(
+        for backend in _BACKENDS:
+            arena = _arena(cache, backend)
+            assert arena.evaluate(subset) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            assert arena.maintenance_vector(subset)[0] == pytest.approx(
                 profile.cost_for(subset), rel=1e-12, abs=1e-12
             )
-            batch = engine.estimate_batch([subset, []])
+            batch = arena.evaluate_batch([subset, []])
             assert batch[0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
             assert batch[1] == pytest.approx(
                 scalar.estimate_with_indexes([]), rel=1e-9, abs=1e-9
@@ -114,15 +123,17 @@ class TestSyntheticCacheEquivalence:
     @_settings
     @given(data=maintenance_caches())
     def test_entry_costs_carry_the_same_maintenance_constant(self, data):
+        """Every backend adds the profile's charge on top of the same read
+        minimum the scalar walk finds without a profile."""
         cache, subset = data
-        backends = ["python"] + (["numpy"] if numpy_available() else [])
-        references = None
-        for backend in backends:
-            costs = compile_cache(cache, backend=backend).entry_costs(subset)
-            if references is None:
-                references = costs
-                continue
-            assert costs == pytest.approx(references, rel=1e-9, abs=1e-9)
+        read_only = cache.detached_copy()
+        read_only.maintenance = None
+        read = InumCostModel(read_only).estimate_with_indexes(subset)
+        charge = cache.maintenance.cost_for(subset)
+        for backend in _BACKENDS:
+            assert _arena(cache, backend).per_query_vector(subset)[0] == pytest.approx(
+                read + charge, rel=1e-9, abs=1e-9
+            )
 
 
 def _random_dml(rng: random.Random, number: int) -> DmlStatement:
@@ -152,7 +163,6 @@ def _random_dml(rng: random.Random, number: int) -> DmlStatement:
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestRealWorkloadEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_engines_agree_on_randomized_mixed_workloads(self, seed):
@@ -170,12 +180,13 @@ class TestRealWorkloadEquivalence:
             for _ in range(6)
         ]
         reference = None
-        for engine in ("scalar", "python", "numpy"):
-            model.select_engine(engine)
-            measured = [
-                (model.workload_cost(subset), model.per_query_costs(subset))
-                for subset in subsets
-            ]
+        for engine in ["scalar"] + _BACKENDS:
+            with engine_variant(engine) as option:
+                model.select_engine(option)
+                measured = [
+                    (model.workload_cost(subset), model.per_query_costs(subset))
+                    for subset in subsets
+                ]
             if reference is None:
                 reference = measured
                 continue

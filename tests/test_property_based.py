@@ -11,6 +11,7 @@ from repro.catalog.statistics import Histogram
 from repro.inum.access_costs import AccessCostInfo
 from repro.inum.atomic_config import AtomicConfiguration
 from repro.inum.cache import CachedSlot, CacheEntry, InumCache
+from repro.inum.arena import compile_arena
 from repro.inum.compiled import compile_cache, numpy_available
 from repro.inum.cost_estimation import InumCostModel
 from repro.catalog.index import Index
@@ -24,6 +25,9 @@ from repro.storage import pages
 from repro.util.errors import PlanningError
 
 _settings = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+
+#: Both arena backends when numpy is installed, the pure-Python one otherwise.
+_BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 # ---------------------------------------------------------------------------
@@ -276,33 +280,52 @@ def cache_with_indexes(draw):
     return cache, subset
 
 
+def layout_entry_costs(layout, indexes):
+    """Per-entry costs straight from the layout's coefficients (+inf = infeasible)."""
+    active = set(layout.active_columns(indexes))
+    inf = float("inf")
+    full = [min((row[c] for c in active), default=inf) for row in layout.full_costs]
+    probe = [min((row[c] for c in active), default=inf) for row in layout.probe_costs]
+    costs = []
+    for internal, full_weight, probe_weight in zip(
+        layout.internal_costs, layout.full_weights, layout.probe_weights
+    ):
+        cost = internal
+        cost += sum(weight * full[position] for position, weight in full_weight.items())
+        cost += sum(weight * probe[position] for position, weight in probe_weight.items())
+        costs.append(cost)
+    return costs
+
+
+def _arena(cache, backend):
+    """A one-statement workload arena over ``cache``."""
+    return compile_arena([cache.query], {cache.query.name: cache}, backend=backend)
+
+
 class TestCompiledEngineProperties:
     @_settings
     @given(data=cache_with_indexes())
     def test_backends_match_scalar_model_exactly(self, data):
-        """Every backend reproduces the scalar cost and winning entry."""
+        """Every arena backend reproduces the scalar cost, and the compiled
+        layout's cheapest entry is the scalar winner (or an exact tie)."""
         cache, subset = data
         scalar = InumCostModel(cache)
         try:
             expected_cost, expected_entry = scalar.estimate_with_indexes_detail(subset)
         except PlanningError:
             expected_cost = expected_entry = None
-        backends = ["python"] + (["numpy"] if numpy_available() else [])
-        for backend in backends:
-            engine = compile_cache(cache, backend=backend)
+        for backend in _BACKENDS:
+            arena = _arena(cache, backend)
             if expected_cost is None:
                 with pytest.raises(PlanningError):
-                    engine.estimate_detail(subset)
+                    arena.evaluate(subset)
                 continue
-            detail = engine.estimate_detail(subset)
-            assert detail.cost == pytest.approx(expected_cost, rel=1e-9, abs=1e-9)
-            if detail.entry is not expected_entry:
-                # An exact tie between entries: both must cost the same.
-                costs = engine.entry_costs(subset)
-                expected_position = cache.entries.index(expected_entry)
-                assert costs[expected_position] == pytest.approx(
-                    costs[detail.entry_position], rel=1e-9, abs=1e-9
-                )
+            assert arena.evaluate(subset) == pytest.approx(expected_cost, rel=1e-9, abs=1e-9)
+        if expected_cost is not None:
+            costs = layout_entry_costs(compile_cache(cache), subset)
+            assert costs[cache.entries.index(expected_entry)] == pytest.approx(
+                min(costs), rel=1e-9, abs=1e-9
+            )
 
     @_settings
     @given(data=cache_with_indexes())
@@ -310,15 +333,14 @@ class TestCompiledEngineProperties:
         """PINUM's model (same arithmetic) and batched evaluation also match."""
         cache, subset = data
         pinum = PinumCostModel(cache)
-        backends = ["python"] + (["numpy"] if numpy_available() else [])
-        for backend in backends:
-            engine = compile_cache(cache, backend=backend)
+        for backend in _BACKENDS:
+            arena = _arena(cache, backend)
             try:
                 expected = pinum.estimate_with_indexes(subset)
             except PlanningError:
                 continue
-            assert engine.estimate(subset) == pytest.approx(expected, rel=1e-9, abs=1e-9)
-            batch = engine.estimate_batch([subset, subset])
+            assert arena.evaluate(subset) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            batch = arena.evaluate_batch([subset, subset])
             assert batch[0] == batch[1]
             assert batch[0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 

@@ -65,9 +65,31 @@ class TestSharedBuilds:
         assert stats["sessions_attached"] == 2
         assert stats["cache_promotions"] == first.statistics.caches_built
         assert stats["cache_hits"] == second.statistics.caches_shared
-        # Compiled engines were published once and adopted once.
-        assert stats["engine_promotions"] > 0
-        assert stats["engine_hits"] >= stats["engine_promotions"]
+        # One compiled layout per built cache; the identical second workload
+        # adopts the whole arena, so it never needs the layouts themselves.
+        assert stats["engine_promotions"] == first.statistics.caches_built
+        assert stats["arena_promotions"] == 1
+        assert stats["arena_hits"] >= 1
+
+    def test_new_workload_restacks_shared_layouts(self):
+        """A session tuning a different workload over shared caches misses
+        the arena but adopts every layout by cache id instead of compiling."""
+        tier = SharedCacheTier()
+        first = _session(tier, candidate_policy="per_query")
+        first.recommend()
+        catalog, workload = _load_catalog_and_workload("tpch", 7)
+        second = TuningSession(
+            catalog,
+            workload[:1],
+            options=AdvisorOptions(candidate_policy="per_query"),
+            shared_tier=tier,
+        )
+        response = second.recommend()
+        assert response.caches_built == 0
+        stats = tier.statistics_dict()
+        assert stats["arena_promotions"] == 2, "a new workload is a new arena"
+        assert stats["engine_hits"] == 1, "its one layout came from the tier"
+        assert stats["engines_published"] == 2
 
     def test_different_catalogs_use_different_namespaces(self):
         tier = SharedCacheTier()
@@ -186,17 +208,26 @@ class TestTierInternals:
         assert namespace.cache_count <= 4
 
     def test_engine_map_deletion_is_local(self):
-        """One session pruning its engine pool cannot evict for everyone."""
+        """One session pruning its layout pool cannot evict for everyone."""
         namespace = TierNamespace("fp")
         first = namespace.engine_map()
         second = namespace.engine_map()
-        engine = object()
-        first[("cache-1", "numpy")] = engine
-        assert second.get(("cache-1", "numpy")) is engine
-        del second[("cache-1", "numpy")]
-        assert ("cache-1", "numpy") not in second  # local view only
-        assert first.get(("cache-1", "numpy")) is engine
-        assert namespace.lookup_engine(("cache-1", "numpy")) is engine
+        layout = object()
+        first["cache-1"] = layout
+        assert second.get("cache-1") is layout
+        del second["cache-1"]
+        assert "cache-1" not in second  # local view only
+        assert first.get("cache-1") is layout
+        assert namespace.lookup_engine("cache-1") is layout
+
+    def test_layout_bound_follows_the_cache_bound(self):
+        """One layout per cache: the layout map is capped like the caches."""
+        namespace = TierNamespace("fp", max_caches=4)
+        for position in range(10):
+            namespace.promote_engine(f"cache-{position}", object())
+        assert namespace.engine_count == 4
+        assert namespace.lookup_engine("cache-0") is None
+        assert namespace.lookup_engine("cache-9") is not None
 
     def test_store_page_cache_is_shared(self, tmp_path):
         """Two stores over one PageCache parse each saved file once."""

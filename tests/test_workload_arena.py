@@ -2,16 +2,12 @@
 
 Property tests pin the arena's evaluation -- single index sets, whole
 batches and CELF frontiers, read-only and weighted-DML -- to the scalar
-INUM arithmetic and the per-query engines within 1e-9 on randomized plan
-caches (the same cache strategy :mod:`test_property_based` drives the
-per-query backends with).  The shared-memory suite covers the
-publish/attach/release lifecycle in-process and across a spawned child,
-and the tier suite covers the one-copy adoption path sessions use.
+INUM arithmetic within 1e-9 on randomized plan caches (the same cache
+strategy :mod:`test_property_based` uses), for both backends.  The tier
+suite covers the one-copy adoption path sessions use.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,18 +17,12 @@ from repro.advisor import CandidateGenerator
 from repro.advisor.benefit import CacheBackedWorkloadCostModel
 from repro.catalog.index import Index
 from repro.inum.access_costs import AccessCostInfo
-from repro.inum.arena import (
-    arena_fingerprint,
-    attach_arena,
-    compile_arena,
-    release_arena,
-    share_arena,
-    shared_arena_names,
-)
+from repro.inum import arena as arena_module
+from repro.inum.arena import arena_fingerprint, compile_arena
 from repro.inum.cache import CachedSlot, CacheEntry, InumCache
-from repro.inum.compiled import numpy_available
+from repro.inum.compiled import compile_cache, numpy_available
 from repro.inum.cost_estimation import InumCostModel
-from repro.api.tier import TierNamespace
+from repro.api.tier import MAX_POOLED_ARENAS, TierNamespace
 from repro.optimizer import Optimizer
 from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.optimizer.maintenance import MaintenanceProfile
@@ -216,6 +206,35 @@ class TestArenaMatchesScalarArithmetic:
         assert numpy_arena.entry_count == python_arena.entry_count
 
 
+@needs_numpy
+class TestWeightRuns:
+    @_settings
+    @given(data=workload_with_indexes())
+    def test_sparse_weights_match_the_dense_matrices(self, data):
+        """Past the dense-cell bound the numpy arena gathers per-entry weight
+        runs instead of multiplying block-diagonal matrices: same answers."""
+        queries, caches, subset, weights = data
+        winners, candidates = subset[: len(subset) // 2], list(subset) + [None]
+        dense = compile_arena(queries, caches, backend="numpy")
+        saved = arena_module.DENSE_WEIGHT_CELLS
+        arena_module.DENSE_WEIGHT_CELLS = 0
+        try:
+            sparse = compile_arena(queries, caches, backend="numpy")
+        finally:
+            arena_module.DENSE_WEIGHT_CELLS = saved
+        try:
+            expected = dense.frontier_detail(winners, candidates, weights)[0]
+        except PlanningError:
+            with pytest.raises(PlanningError):
+                sparse.frontier_detail(winners, candidates, weights)
+            return
+        got = sparse.frontier_detail(winners, candidates, weights)[0]
+        assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert sparse.evaluate(subset, weights) == pytest.approx(
+            dense.evaluate(subset, weights), rel=1e-9, abs=1e-9
+        )
+
+
 # ---------------------------------------------------------------------------
 # Layout validation, identity and memoization
 # ---------------------------------------------------------------------------
@@ -309,6 +328,21 @@ class TestArenaLayout:
         assert misses == misses_before + 1
         assert hits == hits_before + 1
 
+    def test_pooled_layouts_are_stacked_not_recompiled(self):
+        """compile_arena stacks the caller's layouts; maintenance comes from
+        the caches, so a pooled layout never carries a stale write profile."""
+        queries, caches = _tiny_workload()
+        layouts = {name: compile_cache(cache) for name, cache in caches.items()}
+        index = Index("alpha", ["a1"])
+        fresh = compile_arena(queries, caches, backend="python")
+        pooled = compile_arena(queries, caches, backend="python", layouts=layouts)
+        assert pooled.evaluate([index]) == fresh.evaluate([index])
+        caches["q0"].maintenance = MaintenanceProfile(
+            statement="q0", base_cost=5.0, per_index={index.key: 7.0}
+        )
+        charged = compile_arena(queries, caches, backend="python", layouts=layouts)
+        assert charged.query_cost("q0", [index]) == fresh.query_cost("q0", [index]) + 12.0
+
     def test_fingerprint_identity(self):
         cache_ids = {"q0": "cache-a", "q1": "cache-b"}
         fingerprint = arena_fingerprint(["q0", "q1"], cache_ids, "numpy")
@@ -324,99 +358,6 @@ class TestArenaLayout:
             )
             != fingerprint
         )
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory lifecycle
-# ---------------------------------------------------------------------------
-
-
-def _attach_and_evaluate(name, queue):
-    """Spawn target: adopt the shared arena and report what it evaluates."""
-    try:
-        from repro.inum.arena import attach_arena as _attach
-        from repro.inum.arena import release_arena as _release
-
-        arena = _attach(name)
-        try:
-            queue.put(("ok", arena.evaluate([]), list(arena.query_names)))
-        finally:
-            del arena
-            _release(name)
-    except BaseException as error:  # pragma: no cover - diagnostic path
-        queue.put(("error", repr(error), []))
-
-
-@needs_numpy
-class TestSharedMemoryLifecycle:
-    def test_same_process_roundtrip(self):
-        queries, caches = _tiny_workload()
-        arena = compile_arena(queries, caches, backend="numpy")
-        index = Index("alpha", ["a1"])
-        expected_bare = arena.evaluate([])
-        expected_indexed = arena.evaluate([index])
-
-        name = share_arena(arena)
-        assert arena.shared_name == name
-        assert name in shared_arena_names()
-
-        attached = attach_arena(name)
-        assert attached.query_names == arena.query_names
-        # Same float64 buffers: the attached view is exact, not approximate.
-        assert attached.evaluate([]) == expected_bare
-        assert attached.evaluate([index]) == expected_indexed
-
-        del attached
-        release_arena(name)
-        assert name in shared_arena_names(), "the owner still holds a reference"
-        del arena
-        release_arena(name)
-        assert name not in shared_arena_names()
-
-    def test_share_is_refcounted_per_call(self):
-        queries, caches = _tiny_workload()
-        arena = compile_arena(queries, caches, backend="numpy")
-        name = share_arena(arena)
-        assert share_arena(arena) == name, "re-sharing must reuse the segment"
-        release_arena(name)
-        assert name in shared_arena_names()
-        del arena
-        release_arena(name)
-        assert name not in shared_arena_names()
-
-    def test_release_of_an_unknown_name_is_a_noop(self):
-        release_arena("never-shared-arena-segment")
-
-    def test_python_backend_cannot_be_shared(self):
-        queries, caches = _tiny_workload()
-        arena = compile_arena(queries, caches, backend="python")
-        with pytest.raises(PlanningError):
-            share_arena(arena)
-
-    def test_cross_process_attach(self):
-        """A spawned child maps the segment zero-copy and agrees exactly."""
-        queries, caches = _tiny_workload()
-        arena = compile_arena(queries, caches, backend="numpy")
-        expected = arena.evaluate([])
-        expected_names = list(arena.query_names)
-        name = share_arena(arena)
-        try:
-            context = multiprocessing.get_context("spawn")
-            queue = context.Queue()
-            child = context.Process(target=_attach_and_evaluate, args=(name, queue))
-            child.start()
-            status, value, names = queue.get(timeout=120)
-            child.join(timeout=120)
-            assert status == "ok", value
-            assert value == expected
-            assert names == expected_names
-            assert child.exitcode == 0
-            # The child's release must not have unlinked the owner's segment.
-            assert arena.evaluate([]) == expected
-        finally:
-            del arena
-            release_arena(name)
-        assert name not in shared_arena_names()
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +390,19 @@ class TestTierArenaSharing:
         assert theirs["arena:x"] is marker
         assert namespace.arena_count == 1
 
+    def test_namespace_arena_bound(self):
+        """Every session tuning a new workload promotes an arena; the
+        namespace keeps only the newest MAX_POOLED_ARENAS of them."""
+        namespace = TierNamespace("fingerprint")
+        for position in range(MAX_POOLED_ARENAS + 5):
+            namespace.promote_arena(f"arena:{position}", object())
+        assert namespace.arena_count == MAX_POOLED_ARENAS
+        assert namespace.lookup_arena("arena:0") is None
+        assert namespace.lookup_arena(f"arena:{MAX_POOLED_ARENAS + 4}") is not None
+
 
 # ---------------------------------------------------------------------------
-# Cost-model integration: engine="arena" is a drop-in engine
+# Cost-model integration: engine="arena" agrees with the scalar reference
 # ---------------------------------------------------------------------------
 
 
@@ -462,7 +413,7 @@ class TestArenaEngineIntegration:
         queries = [join_query, simple_query]
         candidates = CandidateGenerator(small_catalog).for_workload(queries)
         model = CacheBackedWorkloadCostModel(
-            Optimizer(small_catalog), queries, candidates, mode="pinum", engine="python"
+            Optimizer(small_catalog), queries, candidates, mode="pinum", engine="scalar"
         )
         probes = [candidates[:0], candidates[:1], candidates[:3], candidates]
         expected = [
